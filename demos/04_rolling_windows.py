@@ -21,14 +21,15 @@ from growthvol.rolling import roll, rolling_csv, significance_segments
 # ----------------------------------------------------------------------------
 # Load the bundled panel and roll a 10-year window across its 99 growth
 # years.  Step 5 keeps the demo quick; the estimator supports any step down
-# to one year.  Windows run in two threads; results are identical to a
-# serial run by construction.
+# to one year.  Windows are fitted one after another: a thread pool over these
+# small, GIL-holding fits measured no faster, so ``jobs`` is accepted but has
+# no effect.
 
 toy = importlib.resources.files("growthvol") / "data" / "toy_panel_31.csv"
 panel, _ = load_panel(DatasetManifest(data_path=str(toy), year_min=1900,
                                       year_max=1999, panel_kind="balanced"))
 
-series = roll(panel, window_length=10, step=5, bootstrap=50, seed=0, jobs=2)
+series = roll(panel, window_length=10, step=5, bootstrap=50, seed=0)
 print(f"{len(series.entries)} windows of {series.window_length} years, "
       f"step {series.step}")
 

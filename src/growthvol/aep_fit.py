@@ -48,6 +48,7 @@ estimator's actual, faster-than-sqrt(n) convergence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -98,24 +99,33 @@ class AepFit:
 
 
 def _negll(theta, z_sorted):
-    """Negative log-likelihood on standardized, ascending-sorted data."""
+    """Negative log-likelihood on standardized, ascending-sorted data.
+
+    This is the optimizers' inner loop, called hundreds of thousands of times
+    per bootstrapped fit, so its fixed cost is kept low: scalar checks use
+    ``math``, and array reductions use the ndarray methods.  The arithmetic
+    itself must not change, since every fitted digit depends on it.  ``u**b``
+    overflows to inf for far-off trial points; callers run under
+    ``np.errstate(over="ignore")`` (``fit_aep`` sets it once).
+    """
     lbl, lbr, lal, lar, m = theta
-    if not np.all(np.isfinite(theta)):
+    if not (isfinite(lbl) and isfinite(lbr) and isfinite(lal) and isfinite(lar)
+            and isfinite(m)):
         return np.inf
     if max(abs(lbl), abs(lbr)) > _LOG_SHAPE_CAP or max(abs(lal), abs(lar)) > _LOG_SCALE_CAP:
         return np.inf
     b_l, b_r = np.exp(lbl), np.exp(lbr)
     a_l, a_r = np.exp(lal), np.exp(lar)
-    k = np.searchsorted(z_sorted, m, side="right")
-    with np.errstate(over="ignore"):
-        s_left = np.sum(((m - z_sorted[:k]) / a_l) ** b_l) / b_l
-        s_right = np.sum(((z_sorted[k:] - m) / a_r) ** b_r) / b_r
+    k = z_sorted.searchsorted(m, side="right")
+    s_left = (((m - z_sorted[:k]) / a_l) ** b_l).sum() / b_l
+    s_right = (((z_sorted[k:] - m) / a_r) ** b_r).sum() / b_r
+    inv_l, inv_r = np.exp(-lbl), np.exp(-lbr)
     log_norm = np.logaddexp(
-        lal + lbl * np.exp(-lbl) + gammaln(1.0 + np.exp(-lbl)),
-        lar + lbr * np.exp(-lbr) + gammaln(1.0 + np.exp(-lbr)),
+        lal + lbl * inv_l + gammaln(1.0 + inv_l),
+        lar + lbr * inv_r + gammaln(1.0 + inv_r),
     )
     value = z_sorted.size * log_norm + s_left + s_right
-    return value if np.isfinite(value) else np.inf
+    return value if isfinite(value) else np.inf
 
 
 def _profile_mode(z_sorted, n_candidates, quantile_range):
@@ -339,39 +349,44 @@ def fit_aep(
         z = -z
     z = np.sort(z)
 
-    _, theta4, m0 = _profile_mode(z, mode_candidates, quantile_range)
-    fun, theta_hat, success, n_restarts = _refine(z, np.append(theta4, m0))
-    fun, theta_hat = _polish(z, theta_hat)
-    converged = bool(success) and bool(np.isfinite(fun))
-    params = _to_natural(theta_hat, loc, scale, mirrored)
-    loglik = float(np.sum(log_density(x, params)))
+    # Trial points far from the data overflow u**b in _negll to inf, which
+    # the optimizers treat as a rejected step; that is silenced here, once
+    # for the whole fit, rather than on every likelihood call.
+    with np.errstate(over="ignore"):
+        _, theta4, m0 = _profile_mode(z, mode_candidates, quantile_range)
+        fun, theta_hat, success, n_restarts = _refine(z, np.append(theta4, m0))
+        fun, theta_hat = _polish(z, theta_hat)
+        converged = bool(success) and bool(np.isfinite(fun))
+        params = _to_natural(theta_hat, loc, scale, mirrored)
 
-    std_errors = None
-    se_method = None
-    if converged:
-        se_internal = _information_se(z, theta_hat)
-        if se_internal is not None:
-            # Delta method: d(exp(u))/du = exp(u); scales carry the data
-            # scale.  Internal coordinates are in mirrored order when the
-            # sample was re-oriented.
-            i_bl, i_br, i_al, i_ar = (1, 0, 3, 2) if mirrored else (0, 1, 2, 3)
-            se_method = "hessian"
-            std_errors = {
-                "b_l": float(params.b_l * se_internal[i_bl]),
-                "b_r": float(params.b_r * se_internal[i_br]),
-                "a_l": float(params.a_l * se_internal[i_al]),
-                "a_r": float(params.a_r * se_internal[i_ar]),
-                "m": float(scale * se_internal[4]),
-            }
-            if min(params.b_l, params.b_r) < _SMOOTH_SHAPE_MIN and bootstrap_fallback > 0:
-                boot = _bootstrap_se(z, theta_hat, loc, scale, mirrored,
-                                     bootstrap_fallback, seed)
-                std_errors["m"] = boot["m"]
-                se_method = "hessian+bootstrap_m"
-        elif bootstrap_fallback > 0:
-            se_method = "bootstrap"
-            std_errors = _bootstrap_se(z, theta_hat, loc, scale, mirrored,
-                                       bootstrap_fallback, seed)
+        std_errors = None
+        se_method = None
+        if converged:
+            se_internal = _information_se(z, theta_hat)
+            if se_internal is not None:
+                # Delta method: d(exp(u))/du = exp(u); scales carry the data
+                # scale.  Internal coordinates are in mirrored order when the
+                # sample was re-oriented.
+                i_bl, i_br, i_al, i_ar = (1, 0, 3, 2) if mirrored else (0, 1, 2, 3)
+                se_method = "hessian"
+                std_errors = {
+                    "b_l": float(params.b_l * se_internal[i_bl]),
+                    "b_r": float(params.b_r * se_internal[i_br]),
+                    "a_l": float(params.a_l * se_internal[i_al]),
+                    "a_r": float(params.a_r * se_internal[i_ar]),
+                    "m": float(scale * se_internal[4]),
+                }
+                if (min(params.b_l, params.b_r) < _SMOOTH_SHAPE_MIN
+                        and bootstrap_fallback > 0):
+                    boot = _bootstrap_se(z, theta_hat, loc, scale, mirrored,
+                                         bootstrap_fallback, seed)
+                    std_errors["m"] = boot["m"]
+                    se_method = "hessian+bootstrap_m"
+            elif bootstrap_fallback > 0:
+                se_method = "bootstrap"
+                std_errors = _bootstrap_se(z, theta_hat, loc, scale, mirrored,
+                                           bootstrap_fallback, seed)
+    loglik = float(np.sum(log_density(x, params)))
 
     return AepFit(
         params=params,

@@ -7,6 +7,10 @@ Two on-disk layouts are accepted:
   distributed);
 * long CSV: header "country,year,gdppc", one observation per row.
 
+Levels must be positive and finite, and a wide row must have exactly as
+many cells as the header; a file breaking either rule is rejected at the
+first offence, naming its file and row (and, for a bad level, its column).
+
 Country names are normalized through a bundled alias table covering common
 variant spellings ("Korea, Rep." vs "Republic of Korea" and the like); names
 that still match no entry of the region map are never fuzzy-matched, they
@@ -22,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
@@ -228,6 +233,11 @@ def _parse_level(cell: str, path, row, column) -> float:
         raise IngestError(
             f"malformed numeric cell {cell!r}", path=path, row=row, column=column
         ) from None
+    if not 0.0 < value < math.inf:  # also false for nan
+        raise IngestError(
+            f"level must be positive and finite, got {cell!r}",
+            path=path, row=row, column=column,
+        )
     return value
 
 
@@ -245,6 +255,11 @@ def read_wide_csv(path) -> list[PanelObservation]:
         raise IngestError("empty country name in header", path=path, row=line_no)
     observations = []
     for line_no, row in rows:
+        if len(row) != len(header):
+            raise IngestError(
+                f"row has {len(row)} cells, header has {len(header)}",
+                path=path, row=line_no,
+            )
         try:
             year = int(row[0])
         except ValueError:

@@ -13,7 +13,6 @@ adds no estimation logic, and a window can be reproduced in isolation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from scipy.stats import norm
@@ -69,8 +68,9 @@ def roll(
         Window w uses the derived seed (seed, w), so any window can be
         recomputed independently of the others.
     jobs : int
-        Concurrent window fits; results are ordered by window start
-        regardless of scheduling.
+        Accepted and ignored: windows are fitted serially, in order of
+        start.  A thread pool over these small, GIL-holding fits measured no
+        faster than the plain loop.
     """
     if window_length < 2:
         raise ValueError(f"window_length must be at least 2, got {window_length}")
@@ -85,24 +85,18 @@ def roll(
         )
     starts = list(range(first, last - window_length + 2, step))
     entropy = _seed_entropy(seed)
-
-    def fit_window(start: int) -> RollingEntry:
+    entries = []
+    for start in starts:
         end = start + window_length - 1
         sub = stratify(panel, year_range=(start, end))
         n_pairs = int(sub.ar1_pairs()[0].size)
-        if n_pairs < min_pairs:
-            return RollingEntry(start, end, n_pairs, None)
-        fit = fit_alad(
-            sub, bootstrap=bootstrap, seed=entropy + [start],
-            tail_weights=tail_weights,
-        )
-        return RollingEntry(start, end, n_pairs, fit)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(fit_window, starts))
-    else:
-        entries = [fit_window(s) for s in starts]
+        fit = None
+        if n_pairs >= min_pairs:
+            fit = fit_alad(
+                sub, bootstrap=bootstrap, seed=entropy + [start],
+                tail_weights=tail_weights,
+            )
+        entries.append(RollingEntry(start, end, n_pairs, fit))
     return RollingSeries(window_length=window_length, step=step, entries=entries)
 
 

@@ -5,6 +5,8 @@ suite fast; the statistically demanding calibration study lives in the
 acceptance tests.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -204,3 +206,104 @@ def test_json_dict_without_errors():
         converged=False, n_restarts_used=4, se_method=None,
     )
     assert fit.to_json_dict()["se"] is None
+
+
+# ------------------------------------------------------- likelihood kernel
+
+
+def _negll_reference(theta, z_sorted):
+    """The likelihood kernel as first written, before its per-call trims.
+
+    The fitted digits of every stored result depend on ``_negll`` doing
+    exactly this arithmetic in exactly this order.
+    """
+    from scipy.special import gammaln
+
+    from growthvol.aep_fit import _LOG_SCALE_CAP, _LOG_SHAPE_CAP
+
+    lbl, lbr, lal, lar, m = theta
+    if not np.all(np.isfinite(theta)):
+        return np.inf
+    if max(abs(lbl), abs(lbr)) > _LOG_SHAPE_CAP or max(abs(lal), abs(lar)) > _LOG_SCALE_CAP:
+        return np.inf
+    b_l, b_r = np.exp(lbl), np.exp(lbr)
+    a_l, a_r = np.exp(lal), np.exp(lar)
+    k = np.searchsorted(z_sorted, m, side="right")
+    with np.errstate(over="ignore"):
+        s_left = np.sum(((m - z_sorted[:k]) / a_l) ** b_l) / b_l
+        s_right = np.sum(((z_sorted[k:] - m) / a_r) ** b_r) / b_r
+    log_norm = np.logaddexp(
+        lal + lbl * np.exp(-lbl) + gammaln(1.0 + np.exp(-lbl)),
+        lar + lbr * np.exp(-lbr) + gammaln(1.0 + np.exp(-lbr)),
+    )
+    value = z_sorted.size * log_norm + s_left + s_right
+    return value if np.isfinite(value) else np.inf
+
+
+def _overflow_theta(z_sorted):
+    """Largest shape, smallest scale, mode far above the data: u**b overflows."""
+    return [3.4, -3.4, -11.9, 11.9, z_sorted[-1] + 1e6]
+
+
+def _theta_grid(z_sorted, rng):
+    """Random thetas plus the edge cases the optimizers reach."""
+    n_random = 400
+    grid = np.column_stack([
+        rng.uniform(-4.0, 4.0, (n_random, 2)),    # shapes beyond the 3.5 cap
+        rng.uniform(-13.0, 13.0, (n_random, 2)),  # scales beyond the 12 cap
+        rng.uniform(z_sorted[0] - 2.0, z_sorted[-1] + 2.0, n_random),
+    ])
+    edges = [
+        _overflow_theta(z_sorted),
+        [-3.4, 3.4, 11.9, -11.9, z_sorted[0] - 1e6],  # overflow right of m
+        [0.0, 0.0, 0.0, 0.0, z_sorted[0] - 1.0],  # m below every observation
+        [0.0, 0.0, 0.0, 0.0, z_sorted[-1] + 1.0], # m above every observation
+        [0.0, 0.0, 0.0, 0.0, z_sorted[0]],        # m on the smallest observation
+        [0.0, 0.0, 0.0, 0.0, z_sorted[-1]],       # m on the largest observation
+        [3.5, -3.5, 12.0, -12.0, 0.0],            # exactly on the caps
+        [-0.3, 0.2, 0.1, -0.1, 0.05],
+    ]
+    for bad in (np.nan, np.inf, -np.inf):
+        for index in range(5):
+            theta = [-0.3, 0.2, 0.1, -0.1, 0.05]
+            theta[index] = bad
+            edges.append(theta)
+    return np.vstack([grid, np.array(edges, dtype=float)])
+
+
+@pytest.mark.parametrize("n", [60, 1500])
+def test_likelihood_kernel_matches_reference_exactly(n):
+    from growthvol.aep_fit import _negll
+
+    x = _draw(TRUTH, n, seed=21)
+    z = np.sort((x - np.median(x)) / np.mean(np.abs(x - np.median(x))))
+    thetas = _theta_grid(z, np.random.default_rng(n))
+    values = []
+    with np.errstate(over="ignore"):
+        for theta in thetas:
+            value, expected = _negll(theta, z), _negll_reference(theta, z)
+            assert value == expected, (theta, value, expected)
+            values.append(value)
+    # The grid reaches both outcomes: finite values and rejected points.
+    assert np.isinf(values).sum() > 20
+    assert np.isfinite(values).sum() > 100
+    # The overflow row does overflow, so the grid covers that path.
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        _negll(np.array(_overflow_theta(z)), z)
+
+
+def test_fit_raises_no_runtime_warnings():
+    # The kernel no longer silences its own overflow; fit_aep does, once, for
+    # all of its stages.  An outlier-heavy sample (ten points about 6 to 20
+    # scales out) takes the optimizers, the Hessian and the mode bootstrap
+    # through far-off trial points, none of which may warn.
+    rng = np.random.default_rng(8)
+    x = np.concatenate([
+        _draw(TRUTH, 300, seed=8),
+        rng.choice([-1.0, 1.0], 10) * rng.uniform(0.3, 1.0, 10),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_aep(x, bootstrap_fallback=10, seed=0)
+    assert fit.converged
+    assert fit.se_method == "hessian+bootstrap_m"

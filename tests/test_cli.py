@@ -7,6 +7,9 @@ comparable across runs.
 
 import importlib.resources
 import json
+import os
+import subprocess
+import threading
 
 import numpy as np
 import pytest
@@ -204,24 +207,58 @@ def test_scale_partial_failure_keeps_good_strata(isolated_cwd):
     assert "scale_alad_SubSaharanAfrica.json" not in written
 
 
-def test_jobs_do_not_change_payloads(isolated_cwd):
-    data, region_map = _synth(countries=12, years=20)
-    payloads = []
-    for jobs, out in (("1", "seq"), ("3", "par")):
-        code = main([
-            "scale", "--data", data, "--region-map", region_map,
-            "--years", "1949:1969", "--region", "all", "--method", "alad",
-            "--bootstrap", "25", "--seed", "5", "--jobs", jobs, "--out", out,
-        ])
-        assert code == 0
-        docs = {}
-        for path in sorted((isolated_cwd / out).glob("scale_alad_*.json")):
+def _artifacts(out_dir, pattern):
+    """Artifacts matching pattern, less the config that records --jobs and --out."""
+    docs = {}
+    for path in sorted(out_dir.glob(pattern)):
+        if path.suffix == ".json":
             doc = _load_json(path)
             doc.pop("config")
-            docs[path.name] = doc
-        payloads.append(docs)
-    assert payloads[0] == payloads[1]
-    assert len(payloads[0]) == 6
+        else:
+            config, doc = path.read_text(encoding="utf-8").split("\n", 1)
+            assert config.startswith("# config: ")
+        docs[path.name] = doc
+    return docs
+
+
+def test_jobs_do_not_change_payloads(isolated_cwd):
+    data, region_map = _synth(countries=12, years=20)
+    inputs = ["--data", data, "--region-map", region_map, "--years", "1949:1969"]
+    commands = [
+        (["scale", *inputs, "--region", "all", "--method", "alad",
+          "--bootstrap", "25", "--seed", "5"], "scale_alad_*.json", 6),
+        # Two strata, each with the mode bootstrap: fit tables, histograms
+        # and density curves for both, plus the summary table.
+        (["fit", *inputs, "--split", "both", "--bootstrap", "5", "--seed", "5"],
+         "fit_*", 7),
+    ]
+    for argv, pattern, count in commands:
+        payloads = []
+        for jobs, out in (("1", "seq"), ("3", "par")):
+            code = main([*argv, "--jobs", jobs, "--out", f"{argv[0]}_{out}"])
+            assert code == 0
+            payloads.append(_artifacts(isolated_cwd / f"{argv[0]}_{out}", pattern))
+        assert payloads[0] == payloads[1]
+        assert len(payloads[0]) == count
+
+
+def test_runs_start_no_threads_or_processes(isolated_cwd, monkeypatch):
+    data, region_map = _synth(countries=12, years=20)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI started a thread or a process")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(subprocess.Popen, "__init__", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    inputs = ["--data", data, "--region-map", region_map, "--years", "1949:1969",
+              "--seed", "1", "--jobs", "4"]
+    assert main(["fit", *inputs, "--split", "both", "--bootstrap", "2",
+                 "--out", "fit"]) == 0
+    assert main(["scale", *inputs, "--region", "all", "--method", "alad",
+                 "--bootstrap", "2", "--out", "scale"]) == 0
+    assert main(["roll", *inputs, "--window", "10", "--step", "5",
+                 "--bootstrap", "2", "--out", "roll"]) == 0
 
 
 # --------------------------------------------------------------------- roll

@@ -246,3 +246,51 @@ def test_manifest_validation():
         DatasetManifest(data_path="x.csv", year_min=1999, year_max=1900)
     with pytest.raises(ValueError, match="panel_kind"):
         DatasetManifest(data_path="x.csv", panel_kind="huge")
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "0", "0.0", "-5186"])
+def test_bad_level_is_located_in_wide_layout(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"year,France,Japan\n1950,5186,1921\n1951,5452,{cell}\n",
+                    encoding="utf-8")
+    with pytest.raises(IngestError, match="positive and finite") as err:
+        read_observations(path)
+    assert err.value.path == path
+    assert err.value.row == 3
+    assert err.value.column == "Japan"
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "0", "-1e-300"])
+def test_bad_level_is_located_in_long_layout(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"country,year,gdppc\nFrance,1950,5186\nFrance,1951,{cell}\n",
+                    encoding="utf-8")
+    with pytest.raises(IngestError, match="positive and finite") as err:
+        read_observations(path)
+    assert err.value.path == path
+    assert err.value.row == 3
+    assert err.value.column == "gdppc"
+
+
+def test_bad_level_fails_load_with_location(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("country,year,gdppc\nFrance,1950,5186\nFrance,1951,nan\n",
+                    encoding="utf-8")
+    with pytest.raises(IngestError, match=r"bad\.csv, row 3, column 'gdppc'"):
+        load_panel(DatasetManifest(data_path=path, year_min=1950, year_max=1951))
+
+
+@pytest.mark.parametrize("row", ["1951,5452", "1951,5452,2110,17", "1951"])
+def test_ragged_wide_row_is_rejected(tmp_path, row):
+    path = tmp_path / "ragged.csv"
+    path.write_text(f"year,France,Japan\n1950,5186,1921\n{row}\n", encoding="utf-8")
+    with pytest.raises(IngestError, match="cells, header has 3") as err:
+        read_observations(path)
+    assert err.value.row == 3
+
+
+def test_trailing_empty_cells_are_missing_not_ragged(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("year,France,Japan\n1950,5186,\n1951,,\n", encoding="utf-8")
+    obs = read_observations(path)
+    assert [(o.country_id, o.year) for o in obs] == [("France", 1950)]

@@ -37,7 +37,9 @@ fit = fit_aep(growth, bootstrap_fallback=60, seed=0)
 p, se = fit.params, fit.std_errors
 print(f"\nfitted parameters ({fit.se_method} standard errors):")
 for name in ("b_l", "b_r", "a_l", "a_r", "m"):
-    print(f"  {name:3s} = {getattr(p, name):+.4f}  (se {se[name]:.4f})")
+    # A bootstrapped shape or scale held on its cap has no error (None).
+    se_text = "n/a" if se[name] is None else f"{se[name]:.4f}"
+    print(f"  {name:3s} = {getattr(p, name):+.4f}  (se {se_text})")
 
 # The crash side is heavier-tailed than the boom side whenever b_l < b_r.
 print(f"\nleft shape {p.b_l:.2f} < right shape {p.b_r:.2f}: "

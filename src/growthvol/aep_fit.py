@@ -60,6 +60,10 @@ from growthvol.aep import AepParams, log_density
 # standardized to median 0 and mean absolute deviation 1.
 _LOG_SHAPE_CAP = 3.5  # |log b| wall: shapes confined to ~[0.03, 33]
 _LOG_SCALE_CAP = 12.0
+# Cap of each internal coordinate (m has none), and how close a bootstrap
+# replicate must come to one to count as held there.
+_CAPS = np.array([_LOG_SHAPE_CAP] * 2 + [_LOG_SCALE_CAP] * 2 + [np.inf])
+_CAP_TOL = 1e-6
 
 _PROFILE_OPTIONS = {"xatol": 1e-4, "fatol": 1e-6, "maxiter": 400, "maxfev": 600}
 _REFINE_OPTIONS = {"xatol": 1e-8, "fatol": 1e-9, "maxiter": 4000, "maxfev": 8000}
@@ -76,7 +80,7 @@ class AepFit:
     """Result of a maximum likelihood fit."""
 
     params: AepParams
-    std_errors: dict | None
+    std_errors: dict[str, float | None] | None
     loglik: float
     n: int
     converged: bool
@@ -239,8 +243,14 @@ def _polish(z_sorted, theta_hat, rounds=4):
     return value, theta
 
 
+@np.errstate(invalid="ignore")
 def _hessian(f, x0, step=1e-4):
-    """Symmetric Hessian by central finite differences."""
+    """Symmetric Hessian by central finite differences.
+
+    A step past a parameter cap evaluates to inf, and inf - inf makes that
+    entry NaN; the caller treats a non-finite matrix as unusable, so the
+    invalid-value warning is silenced here.
+    """
     d = x0.size
     h = np.full(d, step)
     f0 = f(x0)
@@ -332,7 +342,9 @@ def fit_aep(
     -------
     AepFit
         ``std_errors`` is a dict keyed by parameter name, present only when
-        the optimizer converged and a standard error method succeeded.
+        the optimizer converged and a standard error method succeeded.  A
+        bootstrapped shape or scale whose replicates all sit on its cap has
+        error None.
     """
     x = np.asarray(sample, dtype=float).ravel()
     if x.size < 50:
@@ -400,22 +412,28 @@ def fit_aep(
 
 
 def _bootstrap_se(z_sorted, theta_hat, loc, scale, mirrored, n_replicates, seed):
-    """Standard errors from refits on resampled data, warm started at the fit."""
+    """Standard errors from refits on resampled data, warm started at the fit.
+
+    A shape or scale whose replicates all end on its log cap has no sampling
+    spread to measure (the wall holds it, not the data); its error is None
+    rather than a spurious zero.
+    """
     draws = np.empty((n_replicates, 5))
+    on_cap = np.ones(5, dtype=bool)
     for rep in range(n_replicates):
         rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
         resampled = np.sort(rng.choice(z_sorted, size=z_sorted.size, replace=True))
         _, theta_rep, _, _ = _refine(resampled, theta_hat,
                                      options=_BOOTSTRAP_OPTIONS, restarts=False)
+        on_cap &= np.abs(theta_rep) >= _CAPS - _CAP_TOL
         p = _to_natural(theta_rep, loc, scale, mirrored)
         draws[rep] = (p.b_l, p.b_r, p.a_l, p.a_r, p.m)
+    if mirrored:
+        on_cap = on_cap[[1, 0, 3, 2, 4]]
     spread = np.std(draws, axis=0, ddof=1)
     return {
-        "b_l": float(spread[0]),
-        "b_r": float(spread[1]),
-        "a_l": float(spread[2]),
-        "a_r": float(spread[3]),
-        "m": float(spread[4]),
+        name: None if on_cap[i] else float(spread[i])
+        for i, name in enumerate(("b_l", "b_r", "a_l", "a_r", "m"))
     }
 
 

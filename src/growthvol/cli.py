@@ -28,6 +28,7 @@ import json
 import os
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -271,7 +272,6 @@ def cmd_scale(args) -> int:
     def worker(stratum):
         sub = _sub_panel(panel, stratum, developed)
         label = stratum["label"]
-        index = next(i for i, s in enumerate(strata) if s["label"] == label)
         if "binned" in methods:
             fit, bins = binned_beta(sub, n_bins=args.bins)
             _write_json(out_dir / f"scale_binned_{label}.json", config,
@@ -279,7 +279,10 @@ def cmd_scale(args) -> int:
             _write_csv(out_dir / f"scale_bins_{label}.csv", config,
                        bin_stats_csv(bins))
         if "alad" in methods:
-            fit = fit_alad(sub, bootstrap=args.bootstrap, seed=[args.seed, index])
+            # The stratum's seed comes from its label, so a stratum gets the
+            # same bootstrap draws alone as inside --region all.
+            fit = fit_alad(sub, bootstrap=args.bootstrap,
+                           seed=[args.seed, zlib.crc32(label.encode())])
             _write_json(out_dir / f"scale_alad_{label}.json", config,
                         fit.to_json_dict())
 

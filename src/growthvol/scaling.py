@@ -19,10 +19,19 @@ Two estimators of the scale relation ln(sigma) ~ beta * s:
   zero weighted median by construction) and whose linear term identifies
   beta through the scale Jacobian.  Optimization alternates an iteratively
   reweighted LAD step for (alpha, phi1) with a one-dimensional search on
-  the smooth, convex beta profile, then polishes all three parameters with
-  a simplex and finishes with an exact weighted-quantile step for alpha.
-  Every accepted step must improve the objective, so the recorded trace is
-  non-increasing by construction.
+  the smooth, convex beta profile and finishes with an exact
+  weighted-quantile step for alpha.  Point fits also polish all three
+  parameters with a simplex before that last step.  Every accepted step
+  must improve the objective, so the recorded trace is non-increasing by
+  construction.
+
+  Bootstrap replicates skip the polish.  It took about 60% of a replicate's
+  time and moves the replicate estimates by a median |delta beta| of about
+  1e-8; a few replicates stop at a corner of the nonsmooth objective, up to
+  5e-3 away on a 279-pair window.  Over 40 synthetic 10-year windows
+  (SynthSpec(beta=-0.2), seeds 100-107, 50 replicates) the
+  unpolished/polished se_beta ratio had mean 1.0005 and stayed within
+  [0.994, 1.007].
 
 Standard errors: classical OLS errors for the binned method (t-test with
 n_bins - 2 degrees of freedom); nonparametric bootstrap over whole countries
@@ -226,14 +235,24 @@ def _irls_location(y, x, weights, tail_weights, start, iterations=60, tol=1e-12)
     a, b = start
     w_left, w_right = tail_weights
     floor = 1e-10 * (np.std(y) + 1e-12)
+    # Loop invariants, computed once.  With equal tail weights the per-residual
+    # weight does not depend on the sign of e, and weights * w_left is the
+    # same product elementwise as weights * where(e >= 0, w_right, w_left).
+    xx = x * x
+    xy = x * y
+    symmetric = weights * w_left if w_left == w_right else None
     for _ in range(iterations):
         e = y - a - b * x
-        u = weights * np.where(e >= 0.0, w_right, w_left) / np.maximum(np.abs(e), floor)
+        if symmetric is None:
+            tail = weights * np.where(e >= 0.0, w_right, w_left)
+        else:
+            tail = symmetric
+        u = tail / np.maximum(np.abs(e), floor)
         sw = u.sum()
         swx = float(u @ x)
-        swxx = float(u @ (x * x))
+        swxx = float(u @ xx)
         swy = float(u @ y)
-        swxy = float(u @ (x * y))
+        swxy = float(u @ xy)
         det = sw * swxx - swx * swx
         if not np.isfinite(det) or det <= 1e-14 * max(sw * swxx, 1e-300):
             break  # lag regressor is (nearly) constant; keep current point
@@ -254,7 +273,6 @@ def fit_alad(
     tol: float = 1e-8,
     max_alternations: int = 200,
     tail_weights: tuple[float, float] = (1.0, 1.0),
-    polish: bool = True,
 ) -> ScalingFit:
     """Fit the heteroskedastic AR(1) by asymmetric least absolute deviation.
 
@@ -264,7 +282,9 @@ def fit_alad(
         Pairs (r_t, r_{t-1}, s_{t-1}) come from consecutive years only.
     bootstrap : int
         Country-level bootstrap replicates for standard errors; 0 disables
-        them (point estimates only, significance then unknown).
+        them (point estimates only, significance then unknown).  Replicates
+        are fitted without the final simplex polish; the point estimate and
+        ``trace`` are the same whatever this is.
     seed : int or sequence of ints
         Root of the deterministic per-replicate RNG streams.
     tol : float
@@ -275,8 +295,6 @@ def fit_alad(
         Loss weights for negative/positive residuals.  (1, 1) is the
         symmetric least-absolute-deviation kernel; unequal weights fit an
         asymmetric kernel (residual quantile other than the median).
-    polish : bool
-        Run the final simplex refinement (kept on except in tight loops).
 
     Returns
     -------
@@ -291,7 +309,7 @@ def fit_alad(
         raise ValueError("all sizes are equal; beta is unidentified")
     estimate = _fit_alad_arrays(
         r_t, r_lag, s_lag, tol=tol, max_alternations=max_alternations,
-        tail_weights=tail_weights, polish=polish,
+        tail_weights=tail_weights, polish=True,
     )
     alpha, phi1, beta, trace = estimate
 
@@ -322,8 +340,12 @@ def fit_alad(
 
 
 def _fit_alad_arrays(r_t, r_lag, s_lag, *, tol, max_alternations, tail_weights,
-                     polish, start=None):
-    """Core ALAD optimizer on raw arrays; returns (alpha, phi1, beta, trace)."""
+                     polish):
+    """Core ALAD optimizer on raw arrays; returns (alpha, phi1, beta, trace).
+
+    ``polish`` runs the final three-parameter simplex after the alternation;
+    point fits use it, bootstrap replicates do not (see ``_bootstrap_alad``).
+    """
     w_left, w_right = tail_weights
     if w_left <= 0.0 or w_right <= 0.0:
         raise ValueError(f"tail weights must be positive, got {tail_weights!r}")
@@ -334,13 +356,10 @@ def _fit_alad_arrays(r_t, r_lag, s_lag, *, tol, max_alternations, tail_weights,
         residuals = r_t - alpha - phi1 * r_lag
         return float(np.sum(beta * s_lag + _rho(residuals, tail_weights) * scale_inv))
 
-    if start is None:
-        alpha, phi1 = _irls_location(
-            r_t, r_lag, np.ones_like(r_t), tail_weights, (float(np.median(r_t)), 0.0)
-        )
-        beta = 0.0
-    else:
-        alpha, phi1, beta = start
+    alpha, phi1 = _irls_location(
+        r_t, r_lag, np.ones_like(r_t), tail_weights, (float(np.median(r_t)), 0.0)
+    )
+    beta = 0.0
     best = objective(alpha, phi1, beta)
     trace = [best]
 
@@ -410,6 +429,10 @@ def _bootstrap_alad(r_t, r_lag, s_lag, country, year, n_replicates, seed, *,
                     tail_weights):
     """Country-resampled replicate estimates; None if too few succeed.
 
+    Each replicate is fitted from a cold start by the alternation and the
+    exact alpha step, without the point fit's simplex polish (see the module
+    docstring for its measured effect on the errors).
+
     Sizes are reconstructed within each pseudo-panel: resampling countries
     changes every year's cross-sectional mean log level, and sizes are
     defined against that mean, so each replicate re-demeans the drawn sizes
@@ -427,9 +450,13 @@ def _bootstrap_alad(r_t, r_lag, s_lag, country, year, n_replicates, seed, *,
         if float(np.std(s_lag[idx])) < 1e-12:
             continue  # no size variation drawn; beta unidentified this round
         sizes = _demean_within_years(s_lag[idx], year[idx])
+        # Each replicate starts cold, as the point fit does.  Warm starting
+        # at the point estimate is faster but biases the SEs downward: on the
+        # 40 synthetic windows of the module docstring, 39 warm/cold se_beta
+        # ratios were at most 1.00003, with mean 0.9984.
         alpha, phi1, beta, _ = _fit_alad_arrays(
             r_t[idx], r_lag[idx], sizes,
-            tol=1e-7, max_alternations=60, tail_weights=tail_weights, polish=True,
+            tol=1e-7, max_alternations=60, tail_weights=tail_weights, polish=False,
         )
         draws.append((alpha, phi1, beta))
     if len(draws) < max(10, n_replicates // 2):

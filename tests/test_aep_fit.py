@@ -12,7 +12,7 @@ import pytest
 import scipy.stats
 
 from growthvol.aep import AepParams, sample
-from growthvol.aep_fit import AepFit, fit_aep, fit_special
+from growthvol.aep_fit import AepFit, _information_se, fit_aep, fit_special
 
 # A right-skewed, heavy-left-tail configuration used across recovery tests.
 TRUTH = AepParams(b_l=0.75, b_r=1.0, a_l=0.045, a_r=0.050, m=0.01)
@@ -307,3 +307,30 @@ def test_fit_raises_no_runtime_warnings():
         fit = fit_aep(x, bootstrap_fallback=10, seed=0)
     assert fit.converged
     assert fit.se_method == "hessian+bootstrap_m"
+
+
+def test_capped_scales_warn_nothing_and_report_no_error():
+    # Three huge outliers stretch the standardization so far that both
+    # fitted scales end on the lower log-scale cap.  The Hessian's steps past
+    # the cap are inf, inf - inf is NaN, and the matrix is unusable; that must
+    # not warn.  The bootstrap replicates all end on the cap too, so the
+    # scales have no measurable spread: their errors are None, not 0.0.
+    rng = np.random.default_rng(1)
+    x = np.concatenate([rng.laplace(size=300), [1e8, -3e8, 5e7]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_aep(x, bootstrap_fallback=20, seed=0)
+    assert fit.converged
+    assert fit.se_method == "bootstrap"
+    assert fit.std_errors["a_l"] is None and fit.std_errors["a_r"] is None
+    for name in ("b_l", "b_r"):
+        assert fit.std_errors[name] > 0.0
+    assert fit.to_json_dict()["se"]["a_l"] is None
+
+
+def test_information_se_of_capped_point_is_none_without_warning():
+    z = np.sort(np.random.default_rng(2).laplace(size=200))
+    theta = np.array([0.0, 0.0, -12.0, -12.0, 0.0])  # both scales on the cap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _information_se(z, theta) is None

@@ -207,6 +207,23 @@ def test_scale_partial_failure_keeps_good_strata(isolated_cwd):
     assert "scale_alad_SubSaharanAfrica.json" not in written
 
 
+def test_scale_stratum_seed_does_not_depend_on_its_neighbours(isolated_cwd):
+    # A region's bootstrap draws come from its label, not from its position
+    # in the requested list, so it reproduces when run on its own.
+    data, region_map = _synth(countries=12, years=20)
+    inputs = ["scale", "--data", data, "--region-map", region_map,
+              "--years", "1949:1969", "--method", "alad", "--bootstrap", "10",
+              "--seed", "4"]
+    region = "LatinAmericaCaribbean"  # fourth in --region all
+    assert main([*inputs, "--region", "all", "--out", "every"]) == 0
+    assert main([*inputs, "--region", region, "--out", "alone"]) == 0
+    name = f"scale_alad_{region}.json"
+    together = _artifacts(isolated_cwd / "every", name)
+    alone = _artifacts(isolated_cwd / "alone", name)
+    assert together == alone
+    assert together[name]["se_beta"] > 0.0
+
+
 def _artifacts(out_dir, pattern):
     """Artifacts matching pattern, less the config that records --jobs and --out."""
     docs = {}

@@ -1,9 +1,14 @@
 """Scaling estimators against the generator oracle and their invariants."""
 
+import importlib.resources
+
 import numpy as np
 import pytest
 
+from growthvol.ingest import DatasetManifest, load_panel
+from growthvol.panel import stratify
 from growthvol.scaling import (
+    _irls_location,
     alad_objective,
     bin_stats_csv,
     binned_beta,
@@ -169,3 +174,100 @@ def test_json_layout(hetero_panel):
     assert ad["method"] == "alad"
     assert ad["bins"] is None
     assert ad["phi1"] == afit.phi1
+
+
+# ------------------------------------------------- ALAD optimizer speed-ups
+
+
+def _irls_location_reference(y, x, weights, tail_weights, start, iterations=60,
+                             tol=1e-12):
+    """The IRLS step as first written, before its loop invariants were hoisted."""
+    a, b = start
+    w_left, w_right = tail_weights
+    floor = 1e-10 * (np.std(y) + 1e-12)
+    for _ in range(iterations):
+        e = y - a - b * x
+        u = weights * np.where(e >= 0.0, w_right, w_left) / np.maximum(np.abs(e), floor)
+        sw = u.sum()
+        swx = float(u @ x)
+        swxx = float(u @ (x * x))
+        swy = float(u @ y)
+        swxy = float(u @ (x * y))
+        det = sw * swxx - swx * swx
+        if not np.isfinite(det) or det <= 1e-14 * max(sw * swxx, 1e-300):
+            break
+        a_new = (swxx * swy - swx * swxy) / det
+        b_new = (sw * swxy - swx * swy) / det
+        shift = max(abs(a_new - a), abs(b_new - b))
+        a, b = a_new, b_new
+        if shift < tol:
+            break
+    return a, b
+
+
+@pytest.mark.parametrize("tail_weights", [(1.0, 1.0), (1.0, 3.0), (2.0, 2.0), (0.5, 0.7)])
+@pytest.mark.parametrize("n", [40, 279, 3038])
+def test_irls_location_matches_reference_exactly(tail_weights, n):
+    rng = np.random.default_rng([n, int(10 * tail_weights[1])])
+    for _ in range(12):
+        x = rng.normal(size=n) * 0.05
+        y = 0.02 + 0.3 * x + rng.laplace(size=n) * 0.03
+        weights = np.exp(-rng.normal() * rng.normal(size=n))
+        start = (float(np.median(y)), 0.0)
+        expected = _irls_location_reference(y, x, weights, tail_weights, start)
+        assert _irls_location(y, x, weights, tail_weights, start) == expected
+        # A few iterations only, stopping mid-descent.
+        expected = _irls_location_reference(y, x, weights, tail_weights, start,
+                                            iterations=3)
+        assert _irls_location(y, x, weights, tail_weights, start,
+                              iterations=3) == expected
+
+
+@pytest.mark.parametrize("tail_weights", [(1.0, 1.0), (1.0, 3.0), (2.0, 2.0)])
+def test_irls_location_edge_cases_match_reference(tail_weights):
+    rng = np.random.default_rng(5)
+    n = 200
+    x = rng.normal(size=n)
+    weights = rng.uniform(0.5, 2.0, size=n)
+    # Residuals exactly at zero, so the floor sets their weight: half the
+    # points lie on the starting line.
+    y = 0.1 + 0.5 * x
+    y[::2] += rng.laplace(size=n // 2) * 0.2
+    cases = [(y, x, (0.1, 0.5))]
+    # Every residual at zero.
+    cases.append((0.1 + 0.5 * x, x, (0.1, 0.5)))
+    # A constant lag regressor: det vanishes and the start comes back.
+    cases.append((rng.laplace(size=n), np.full(n, 0.3), (0.0, 0.0)))
+    for y_case, x_case, start in cases:
+        expected = _irls_location_reference(y_case, x_case, weights, tail_weights, start)
+        assert _irls_location(y_case, x_case, weights, tail_weights, start) == expected
+    assert _irls_location(cases[-1][0], cases[-1][1], weights, tail_weights,
+                          (0.0, 0.0)) == (0.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def toy_panel():
+    path = importlib.resources.files("growthvol") / "data" / "toy_panel_31.csv"
+    manifest = DatasetManifest(data_path=str(path), year_min=1900, year_max=1999,
+                               panel_kind="balanced")
+    return load_panel(manifest)[0]
+
+
+def test_alad_bootstrap_leaves_point_fit_untouched(hetero_panel):
+    # Replicates fit without the simplex polish; the point fit keeps it, so
+    # the estimates and the trace do not depend on whether errors are asked for.
+    point = fit_alad(hetero_panel, bootstrap=0)
+    with_errors = fit_alad(hetero_panel, bootstrap=20)
+    assert point.gamma_or_alpha == with_errors.gamma_or_alpha
+    assert point.phi1 == with_errors.phi1
+    assert point.beta == with_errors.beta
+    assert point.trace == with_errors.trace
+    assert with_errors.se_beta > 0.0
+
+
+def test_alad_unpolished_replicates_keep_the_standard_error(toy_panel):
+    # Polished replicates gave se_beta 0.014403427443372937 on the bundled
+    # panel's late half; replicates without the polish must stay within 1%.
+    late = stratify(toy_panel, year_range=(1950, 1999))
+    fit = fit_alad(late, bootstrap=200, seed=0)
+    assert fit.se_beta == pytest.approx(0.014403427443372937, rel=0.01)

@@ -47,7 +47,7 @@ estimator's actual, faster-than-sqrt(n) convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import isfinite
 
 import numpy as np
@@ -88,18 +88,13 @@ class AepFit:
     se_method: str | None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "b_l": self.params.b_l,
-            "b_r": self.params.b_r,
-            "a_l": self.params.a_l,
-            "a_r": self.params.a_r,
-            "m": self.params.m,
+        return {
+            **asdict(self.params),
             "se": dict(self.std_errors) if self.std_errors is not None else None,
             "loglik": self.loglik,
             "n": self.n,
             "converged": self.converged,
         }
-        return out
 
 
 def _negll(theta, z_sorted):
@@ -416,23 +411,27 @@ def _bootstrap_se(z_sorted, theta_hat, loc, scale, mirrored, n_replicates, seed)
 
     A shape or scale whose replicates all end on its log cap has no sampling
     spread to measure (the wall holds it, not the data); its error is None
-    rather than a spurious zero.
+    rather than a spurious zero.  So is the mode's when every replicate
+    returns it to within a few ulps: a spread of rounding error measures
+    the arithmetic, not the sample.
     """
     draws = np.empty((n_replicates, 5))
-    on_cap = np.ones(5, dtype=bool)
+    no_spread = np.ones(5, dtype=bool)
     for rep in range(n_replicates):
         rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
         resampled = np.sort(rng.choice(z_sorted, size=z_sorted.size, replace=True))
         _, theta_rep, _, _ = _refine(resampled, theta_hat,
                                      options=_BOOTSTRAP_OPTIONS, restarts=False)
-        on_cap &= np.abs(theta_rep) >= _CAPS - _CAP_TOL
+        no_spread &= np.abs(theta_rep) >= _CAPS - _CAP_TOL
         p = _to_natural(theta_rep, loc, scale, mirrored)
         draws[rep] = (p.b_l, p.b_r, p.a_l, p.a_r, p.m)
     if mirrored:
-        on_cap = on_cap[[1, 0, 3, 2, 4]]
+        no_spread = no_spread[[1, 0, 3, 2, 4]]
     spread = np.std(draws, axis=0, ddof=1)
+    m_hat = _to_natural(theta_hat, loc, scale, mirrored).m
+    no_spread[4] = spread[4] <= 16 * np.spacing(abs(m_hat))
     return {
-        name: None if on_cap[i] else float(spread[i])
+        name: None if no_spread[i] else float(spread[i])
         for i, name in enumerate(("b_l", "b_r", "a_l", "a_r", "m"))
     }
 

@@ -29,18 +29,18 @@ import os
 import sys
 import tempfile
 import zlib
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from growthvol.aep import AepParams, density
 from growthvol.aep_fit import fit_aep
-from growthvol.ingest import DatasetManifest, load_panel
+from growthvol.ingest import DatasetManifest, load_panel, panel_to_long_csv
 from growthvol.panel import REGIONS, development_split, stratify
 from growthvol.rolling import roll, rolling_csv, significance_segments
 from growthvol.scaling import bin_stats_csv, binned_beta, fit_alad
 from growthvol.synth import SynthSpec, generate
-from growthvol.ingest import panel_to_long_csv
 
 _SPLITS = ("developed", "developing")
 
@@ -174,12 +174,7 @@ def _load(args, config: dict, out_dir: Path):
         panel_kind=args.panel,
     )
     panel, report = load_panel(manifest)
-    _write_json(out_dir / "load_report.json", config, {
-        "countries": report.countries,
-        "years": list(report.years),
-        "dropped": report.dropped,
-        "balanced_members": report.balanced_members,
-    })
+    _write_json(out_dir / "load_report.json", config, report.to_json_dict())
     return panel
 
 
@@ -198,7 +193,7 @@ def _sub_panel(panel, stratum, developed):
 
 def cmd_fit(args) -> int:
     out_dir = Path(args.out)
-    config = _base_config(args, command="fit")
+    config = _base_config(args)
     panel = _load(args, config, out_dir)
     developed = development_split(panel)[0]
     strata = _expand_strata(args)
@@ -263,7 +258,7 @@ def _curve_csv(values: np.ndarray, params: AepParams, n_points: int = 301) -> st
 
 def cmd_scale(args) -> int:
     out_dir = Path(args.out)
-    config = _base_config(args, command="scale")
+    config = _base_config(args)
     panel = _load(args, config, out_dir)
     developed = development_split(panel)[0]
     strata = _expand_strata(args)
@@ -292,7 +287,7 @@ def cmd_scale(args) -> int:
 
 def cmd_roll(args) -> int:
     out_dir = Path(args.out)
-    config = _base_config(args, command="roll")
+    config = _base_config(args)
     panel = _load(args, config, out_dir)
     developed = development_split(panel)[0]
     strata = _expand_strata(args)
@@ -321,7 +316,7 @@ def cmd_roll(args) -> int:
 
 def cmd_synth(args) -> int:
     out_dir = Path(args.out)
-    config = _base_config(args, command="synth")
+    config = _base_config(args)
     fields = {}
     if args.spec_file:
         loaded = json.loads(Path(args.spec_file).read_text(encoding="utf-8"))
@@ -358,44 +353,22 @@ def cmd_synth(args) -> int:
         map_lines.append(f"{country},{REGIONS[i % len(REGIONS)]}")
     _write_csv(out_dir / "synth_region_map.csv", config,
                "\n".join(map_lines) + "\n")
-    shock = spec.shock
-    _write_json(out_dir / "synth_spec.json", config, {"spec": {
-        "n_countries": spec.n_countries,
-        "n_years": spec.n_years,
-        "alpha": spec.alpha,
-        "phi1": spec.phi1,
-        "beta": spec.beta,
-        "shock": {"b_l": shock.b_l, "b_r": shock.b_r,
-                  "a_l": shock.a_l, "a_r": shock.a_r, "m": shock.m},
-        "size_profile": spec.size_profile.tolist(),
-        "seed": spec.seed,
-        "start_year": spec.start_year,
-        "burn_in": spec.burn_in,
-        "fixed_sizes": spec.fixed_sizes,
-    }})
+    _write_json(out_dir / "synth_spec.json", config, {
+        "spec": {**asdict(spec), "size_profile": spec.size_profile.tolist()},
+    })
     return 0
 
 
 # ------------------------------------------------------------------- parser
 
 
-def _base_config(args, command: str) -> dict:
-    config = {"command": command, "seed": args.seed, "out": args.out}
-    for key in ("data", "region_map", "years", "panel", "region", "split",
-                "method", "bins", "window", "step", "bootstrap", "jobs",
-                "countries", "n_years", "alpha", "phi1", "beta",
-                "start_year", "spec_file"):
-        if hasattr(args, key):
-            value = getattr(args, key)
-            if key == "years":
-                value = f"{value[0]}:{value[1]}"
-            config[key] = value
-    if hasattr(args, "shock") and args.shock is not None:
-        s = args.shock
-        config["shock"] = {"b_l": s.b_l, "b_r": s.b_r,
-                           "a_l": s.a_l, "a_r": s.a_r, "m": s.m}
-    elif hasattr(args, "shock"):
-        config["shock"] = None
+def _base_config(args) -> dict:
+    """Every parsed argument of the run, in JSON-ready form."""
+    config = {key: value for key, value in vars(args).items() if key != "run"}
+    if "years" in config:
+        config["years"] = "{}:{}".format(*args.years)
+    if config.get("shock") is not None:
+        config["shock"] = asdict(args.shock)
     return config
 
 
@@ -490,7 +463,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         out = getattr(args, "out", None)
         if out is not None:
-            config = _base_config(args, command=args.command)
+            config = _base_config(args)
             _write_json(Path(out) / "errors.json", config, {
                 "errors": [{"stratum": "run", "error": str(exc),
                             "type": type(exc).__name__}],

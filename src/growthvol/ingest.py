@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -168,9 +167,6 @@ class LoadReport:
             "dropped": self.dropped,
             "balanced_members": self.balanced_members,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def canonical_name(name: str) -> str:

@@ -45,16 +45,6 @@ class PanelObservation:
 
 
 @dataclass(frozen=True)
-class GrowthObservation:
-    """One derived data point: a growth rate with the size it is paired to."""
-
-    country_id: str
-    year: int
-    growth_rate: float
-    size: float
-
-
-@dataclass(frozen=True)
 class CountryMeta:
     country_id: str
     name: str = ""
@@ -112,13 +102,6 @@ class GrowthPanel:
             self.size[mask],
         )
 
-    def growth_observations(self) -> list[GrowthObservation]:
-        country, year, growth, size = self.growth_arrays()
-        return [
-            GrowthObservation(str(c), int(t), float(r), float(s))
-            for c, t, r, s in zip(country, year, growth, size)
-        ]
-
     def growth_years(self) -> tuple[int, int]:
         """(first, last) year in which any growth rate is defined."""
         years = self.year[~np.isnan(self.growth)]
@@ -147,74 +130,16 @@ class GrowthPanel:
         )
 
 
-def _demean_by_year(year: np.ndarray, log_gdppc: np.ndarray) -> np.ndarray:
-    """Subtract each year's cross-sectional mean of log GDP per capita."""
-    unique_years, inverse = np.unique(year, return_inverse=True)
-    sums = np.bincount(inverse, weights=log_gdppc)
+def demean_by_group(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Subtract from each value the mean of the values sharing its key.
+
+    With years as keys and log GDP per capita as values this is the size
+    s(i, t); the same helper centres growth rates by year or by country.
+    """
+    _, inverse = np.unique(keys, return_inverse=True)
+    sums = np.bincount(inverse, weights=values)
     counts = np.bincount(inverse)
-    return log_gdppc - sums[inverse] / counts[inverse]
-
-
-def compute_sizes(observations, scope=None) -> dict:
-    """Size of every observation: log level demeaned within its year.
-
-    Parameters
-    ----------
-    observations : iterable of PanelObservation
-    scope : iterable of country ids, optional
-        Countries whose observations define each year's cross-sectional
-        mean.  Default: every country present.  Sizes are still returned
-        for all observations; only the mean is restricted, which is how a
-        sub-panel keeps sizes measured against a wider reference.
-
-    Returns
-    -------
-    dict mapping (country_id, year) -> size
-    """
-    obs = list(observations)
-    if not obs:
-        raise ValueError("no observations")
-    in_scope = (lambda c: True) if scope is None else frozenset(scope).__contains__
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for o in obs:
-        if in_scope(o.country_id):
-            sums[o.year] = sums.get(o.year, 0.0) + float(np.log(o.gdppc))
-            counts[o.year] = counts.get(o.year, 0) + 1
-    sizes = {}
-    for o in obs:
-        if o.year not in counts:
-            raise ValueError(
-                f"no in-scope countries observed in year {o.year}; "
-                "cannot demean that cross-section"
-            )
-        mean = sums[o.year] / counts[o.year]
-        sizes[(o.country_id, o.year)] = float(np.log(o.gdppc)) - mean
-    return sizes
-
-
-def compute_growth_rates(observations, scope=None) -> list[GrowthObservation]:
-    """One-year log differences paired with sizes.
-
-    A growth observation exists only where the same country is observed in
-    the immediately preceding year; gaps never produce multi-year ratios.
-    """
-    obs = sorted(observations, key=lambda o: (o.country_id, o.year))
-    for o in obs:
-        if not np.isfinite(o.gdppc) or o.gdppc <= 0.0:
-            raise ValueError(
-                f"gdppc must be positive and finite: {o.country_id} {o.year} has {o.gdppc!r}"
-            )
-    sizes = compute_sizes(obs, scope=scope)
-    out = []
-    for prev, cur in zip(obs, obs[1:]):
-        if prev.country_id == cur.country_id and cur.year == prev.year + 1:
-            rate = float(np.log(cur.gdppc) - np.log(prev.gdppc))
-            out.append(
-                GrowthObservation(cur.country_id, cur.year, rate,
-                                  sizes[(cur.country_id, cur.year)])
-            )
-    return out
+    return values - sums[inverse] / counts[inverse]
 
 
 def build_growth_panel(
@@ -251,7 +176,7 @@ def build_growth_panel(
     year = np.array([o.year for o in obs], dtype=int)
     gdppc = np.array([o.gdppc for o in obs], dtype=float)
     log_gdppc = np.log(gdppc)
-    size = _demean_by_year(year, log_gdppc)
+    size = demean_by_group(year, log_gdppc)
 
     growth = np.full(len(obs), np.nan)
     consecutive = (country[1:] == country[:-1]) & (year[1:] == year[:-1] + 1)
@@ -355,7 +280,7 @@ def stratify(
     gdppc = panel.gdppc[keep]
     growth = panel.growth[keep]
     if recompute_sizes:
-        size = _demean_by_year(year, np.log(gdppc))
+        size = demean_by_group(year, np.log(gdppc))
     else:
         size = panel.size[keep]
     meta = {c: panel.meta[c] for c in set(country.tolist())}

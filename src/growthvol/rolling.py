@@ -14,8 +14,9 @@ adds no estimation logic, and a window can be reproduced in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from growthvol.panel import GrowthPanel, stratify
 from growthvol.scaling import ScalingFit, _seed_entropy, fit_alad
@@ -114,7 +115,7 @@ def significance_segments(
         raise ValueError("empty rolling series")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    critical = float(norm.ppf(1.0 - level / 2.0))
+    critical = float(ndtri(1.0 - level / 2.0))
 
     def status(entry: RollingEntry):
         if entry.fit is None or entry.fit.se_beta is None:
@@ -124,22 +125,10 @@ def significance_segments(
         return bool(abs(entry.fit.beta) / entry.fit.se_beta > critical)
 
     segments = []
-    run_start = None
-    run_end = None
-    run_status = None
-    for entry in series.entries:
-        s = status(entry)
-        if s is None or s != run_status or run_start is None:
-            if run_start is not None and run_status is not None:
-                segments.append((run_start, run_end, run_status))
-            run_start, run_end, run_status = entry.start_year, entry.end_year, s
-            if s is None:
-                run_start = None
-                run_status = None
-        else:
-            run_end = entry.end_year
-    if run_start is not None and run_status is not None:
-        segments.append((run_start, run_end, run_status))
+    for significant, run in groupby(series.entries, key=status):
+        if significant is not None:
+            run = list(run)
+            segments.append((run[0].start_year, run[-1].end_year, significant))
     return segments
 
 

@@ -45,9 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
-from growthvol.panel import GrowthPanel
+from growthvol.panel import GrowthPanel, demean_by_group
 
 _BETA_BOUNDS = (-5.0, 5.0)
 
@@ -154,7 +154,7 @@ def binned_beta_xy(
     se_beta = float(np.sqrt(s2 / sxx))
     se_gamma = float(np.sqrt(s2 * (1.0 / k + x.mean() ** 2 / sxx)))
     if se_beta > 0.0:
-        p_value = 2.0 * float(student_t.sf(abs(beta) / se_beta, dof))
+        p_value = 2.0 * float(stdtr(dof, -abs(beta) / se_beta))
     else:
         p_value = 0.0
     fit = ScalingFit(
@@ -186,20 +186,11 @@ def rescale_residuals(panel: GrowthPanel, beta: float, center: str = "year"):
     """
     if not np.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta!r}")
-    country, year, growth, size = panel.growth_arrays()
-    if center == "year":
-        _, inverse = np.unique(year, return_inverse=True)
-        sums = np.bincount(inverse, weights=growth)
-        counts = np.bincount(inverse)
-        rbar = sums[inverse] / counts[inverse]
-    elif center == "country":
-        _, inverse = np.unique(country, return_inverse=True)
-        sums = np.bincount(inverse, weights=growth)
-        counts = np.bincount(inverse)
-        rbar = sums[inverse] / counts[inverse]
-    else:
+    if center not in ("year", "country"):
         raise ValueError(f"center must be 'year' or 'country', got {center!r}")
-    return (growth - rbar) / np.exp(beta * size)
+    country, year, growth, size = panel.growth_arrays()
+    keys = year if center == "year" else country
+    return demean_by_group(keys, growth) / np.exp(beta * size)
 
 
 def _rho(residuals, tail_weights):
@@ -208,12 +199,17 @@ def _rho(residuals, tail_weights):
     return np.where(residuals >= 0.0, w_right, w_left) * np.abs(residuals)
 
 
+def _alad_loss(r_t, r_lag, s_lag, alpha, phi1, beta, tail_weights) -> float:
+    """The ALAD loss of the module docstring over arrays of AR(1) pairs."""
+    residuals = r_t - alpha - phi1 * r_lag
+    return float(np.sum(beta * s_lag + _rho(residuals, tail_weights) * np.exp(-beta * s_lag)))
+
+
 def alad_objective(panel: GrowthPanel, alpha, phi1, beta,
                    tail_weights=(1.0, 1.0)) -> float:
     """The ALAD loss at given parameters, for diagnostics and tests."""
     r_t, r_lag, s_lag, _, _ = panel.ar1_pairs()
-    residuals = r_t - alpha - phi1 * r_lag
-    return float(np.sum(beta * s_lag + _rho(residuals, tail_weights) * np.exp(-beta * s_lag)))
+    return _alad_loss(r_t, r_lag, s_lag, alpha, phi1, beta, tail_weights)
 
 
 def _weighted_quantile(values, weights, fraction):
@@ -352,9 +348,7 @@ def _fit_alad_arrays(r_t, r_lag, s_lag, *, tol, max_alternations, tail_weights,
     below_fraction = w_right / (w_left + w_right)
 
     def objective(alpha, phi1, beta):
-        scale_inv = np.exp(-beta * s_lag)
-        residuals = r_t - alpha - phi1 * r_lag
-        return float(np.sum(beta * s_lag + _rho(residuals, tail_weights) * scale_inv))
+        return _alad_loss(r_t, r_lag, s_lag, alpha, phi1, beta, tail_weights)
 
     alpha, phi1 = _irls_location(
         r_t, r_lag, np.ones_like(r_t), tail_weights, (float(np.median(r_t)), 0.0)
@@ -417,14 +411,6 @@ def _seed_entropy(seed) -> list[int]:
     return [int(s) for s in seed]
 
 
-def _demean_within_years(values, years):
-    """Subtract each year's mean; the size normalization of a pseudo-panel."""
-    _, inverse = np.unique(years, return_inverse=True)
-    sums = np.bincount(inverse, weights=values)
-    counts = np.bincount(inverse)
-    return values - sums[inverse] / counts[inverse]
-
-
 def _bootstrap_alad(r_t, r_lag, s_lag, country, year, n_replicates, seed, *,
                     tail_weights):
     """Country-resampled replicate estimates; None if too few succeed.
@@ -449,7 +435,7 @@ def _bootstrap_alad(r_t, r_lag, s_lag, country, year, n_replicates, seed, *,
         idx = np.concatenate([rows_of[c] for c in chosen])
         if float(np.std(s_lag[idx])) < 1e-12:
             continue  # no size variation drawn; beta unidentified this round
-        sizes = _demean_within_years(s_lag[idx], year[idx])
+        sizes = demean_by_group(year[idx], s_lag[idx])
         # Each replicate starts cold, as the point fit does.  Warm starting
         # at the point estimate is faster but biases the SEs downward: on the
         # 40 synthetic windows of the module docstring, 39 warm/cold se_beta

@@ -328,6 +328,21 @@ def test_capped_scales_warn_nothing_and_report_no_error():
     assert fit.to_json_dict()["se"]["a_l"] is None
 
 
+@pytest.mark.parametrize("seed", [1, 5])
+def test_mode_error_of_rounding_spread_is_none(seed):
+    # With both scales on their cap every replicate returns the fitted mode
+    # to within rounding: the spread read 3.6e-18 (seed 1) and 0.0 (seed 5).
+    # That measures the arithmetic, not the sample, so the error is None.
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([rng.laplace(size=300), [1e8, -3e8, 5e7]])
+    fit = fit_aep(x, bootstrap_fallback=20)
+    assert fit.se_method == "bootstrap"
+    assert fit.std_errors["m"] is None
+    assert fit.to_json_dict()["se"]["m"] is None
+    for name in ("b_l", "b_r"):
+        assert fit.std_errors[name] > 0.0
+
+
 def test_information_se_of_capped_point_is_none_without_warning():
     z = np.sort(np.random.default_rng(2).laplace(size=200))
     theta = np.array([0.0, 0.0, -12.0, -12.0, 0.0])  # both scales on the cap

@@ -9,11 +9,14 @@ import importlib.resources
 import json
 import os
 import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import growthvol
 from growthvol.cli import main
 from growthvol.ingest import DatasetManifest, load_panel
 from growthvol.synth import SynthSpec, generate
@@ -341,3 +344,12 @@ def test_missing_data_file_reports_and_fails(isolated_cwd):
     assert code == 1
     manifest = _load_json("missing/errors.json")
     assert manifest["errors"][0]["stratum"] == "run"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone takes about half of the CLI's start-up time.
+    env = {**os.environ, "PYTHONPATH": str(Path(growthvol.__file__).parents[1])}
+    probe = "import sys, growthvol.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

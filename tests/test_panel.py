@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthvol.panel import (
     REGIONS,
@@ -9,8 +11,7 @@ from growthvol.panel import (
     GrowthPanel,
     PanelObservation,
     build_growth_panel,
-    compute_growth_rates,
-    compute_sizes,
+    demean_by_group,
     development_split,
     stratify,
 )
@@ -22,40 +23,14 @@ def make_obs(rows):
 
 def test_sizes_are_demeaned_logs():
     e = float(np.e)
-    panel = build_growth_panel(make_obs([
+    three = build_growth_panel(make_obs([
         ("A", 2000, e), ("B", 2000, e), ("C", 2000, e ** 4),
     ]))
-    np.testing.assert_allclose(sorted(panel.size), [-1.0, -1.0, 2.0], atol=1e-12)
-
-
-def test_compute_sizes_examples():
-    e = float(np.e)
-    two = compute_sizes(make_obs([("A", 2000, e**2), ("B", 2000, e**4)]))
-    assert two[("A", 2000)] == pytest.approx(-1.0)
-    assert two[("B", 2000)] == pytest.approx(1.0)
-    single = compute_sizes(make_obs([("A", 2000, 123.0)]))
-    assert single[("A", 2000)] == pytest.approx(0.0)
-    three = compute_sizes(make_obs([("A", 2000, e), ("B", 2000, e), ("C", 2000, e**4)]))
-    assert [three[k] for k in sorted(three)] == pytest.approx([-1.0, -1.0, 2.0])
-
-
-def test_compute_sizes_scope():
-    e = float(np.e)
-    obs = make_obs([("A", 2000, e**2), ("B", 2000, e**4)])
-    sizes = compute_sizes(obs, scope=["B"])  # mean over B only = 4
-    assert sizes[("A", 2000)] == pytest.approx(-2.0)
-    assert sizes[("B", 2000)] == pytest.approx(0.0)
-    with pytest.raises(ValueError, match="2000"):
-        compute_sizes(obs, scope=["Z"])
-
-
-def test_compute_growth_rates_records():
-    records = compute_growth_rates(make_obs([
-        ("A", 1900, 100.0), ("A", 1902, 110.0),  # gap: no growth emitted
-        ("B", 1900, 100.0), ("B", 1901, 100.0 * np.e),
-    ]))
-    assert [(g.country_id, g.year) for g in records] == [("B", 1901)]
-    assert records[0].growth_rate == pytest.approx(1.0)
+    np.testing.assert_allclose(three.size, [-1.0, -1.0, 2.0], atol=1e-12)
+    two = build_growth_panel(make_obs([("A", 2000, e ** 2), ("B", 2000, e ** 4)]))
+    np.testing.assert_allclose(two.size, [-1.0, 1.0], atol=1e-12)
+    single = build_growth_panel(make_obs([("A", 2000, 123.0)]))
+    np.testing.assert_allclose(single.size, [0.0], atol=1e-12)
 
 
 def test_growth_is_log_difference():
@@ -234,3 +209,55 @@ def test_growth_arrays_align():
 def test_growth_years_span():
     panel = balanced_panel()
     assert panel.growth_years() == (1991, 1999)
+
+
+# ---------------------------------------------------------------- properties
+
+
+@st.composite
+def level_rows(draw):
+    """(country, year, level) rows: up to 5 countries, each with its own years."""
+    rows = []
+    for i in range(draw(st.integers(1, 5))):
+        years = draw(st.lists(st.integers(2000, 2011), min_size=1, max_size=12,
+                              unique=True))
+        rows.extend((f"C{i}", y, draw(st.floats(1e-3, 1e6))) for y in years)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=level_rows(), factor=st.floats(1e-3, 1e3), data=st.data())
+def test_sizes_invariant_to_rescaling_one_year(rows, factor, data):
+    year = data.draw(st.sampled_from(sorted({y for _, y, _ in rows})))
+    base = build_growth_panel(make_obs(rows))
+    scaled = build_growth_panel(make_obs(
+        [(c, y, factor * v if y == year else v) for c, y, v in rows]
+    ))
+    np.testing.assert_allclose(scaled.size, base.size, rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=level_rows())
+def test_gaps_never_produce_multi_year_growth(rows):
+    panel = build_growth_panel(make_obs(rows))
+    observed = {(c, y) for c, y, _ in rows}
+    for c, y, g in zip(panel.country, panel.year, panel.growth):
+        assert np.isnan(g) == ((c, y - 1) not in observed)
+    _, _, _, country, year = panel.ar1_pairs()
+    for c, y in zip(country, year):
+        assert (c, y - 1) in observed and (c, y - 2) in observed
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 5), st.floats(-1e6, 1e6)),
+                      min_size=1, max_size=60))
+def test_demean_by_group_sums_to_zero_within_every_key(pairs):
+    keys = np.array([k for k, _ in pairs])
+    values = np.array([v for _, v in pairs])
+    out = demean_by_group(keys, values)
+    assert out.shape == values.shape
+    for key in np.unique(keys):
+        group = keys == key
+        n = int(group.sum())
+        bound = 4 * n * n * np.finfo(float).eps * max(1.0, np.abs(values[group]).max())
+        assert abs(out[group].sum()) <= bound

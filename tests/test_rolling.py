@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import norm
 
 from growthvol.panel import stratify
 from growthvol.rolling import (
@@ -157,6 +160,66 @@ def test_segments_reject_bad_input():
     entry = RollingEntry(1950, 1959, 108, _stub_fit(-0.3, 0.05))
     with pytest.raises(ValueError, match="level"):
         significance_segments(_series([entry]), level=1.5)
+
+
+def _segments_reference(series, level=0.05):
+    """The run-finding state machine that ``significance_segments`` replaced."""
+    critical = float(norm.ppf(1.0 - level / 2.0))
+
+    def status(entry):
+        if entry.fit is None or entry.fit.se_beta is None:
+            return None
+        if entry.fit.se_beta == 0.0:
+            return True
+        return bool(abs(entry.fit.beta) / entry.fit.se_beta > critical)
+
+    segments = []
+    run_start = None
+    run_end = None
+    run_status = None
+    for entry in series.entries:
+        s = status(entry)
+        if s is None or s != run_status or run_start is None:
+            if run_start is not None and run_status is not None:
+                segments.append((run_start, run_end, run_status))
+            run_start, run_end, run_status = entry.start_year, entry.end_year, s
+            if s is None:
+                run_start = None
+                run_status = None
+        else:
+            run_end = entry.end_year
+    if run_start is not None and run_status is not None:
+        segments.append((run_start, run_end, run_status))
+    return segments
+
+
+# A window is a gap (None) or a fit whose (beta, se_beta) makes its status
+# significant, not significant (both by the ratio or by a zero error) or
+# unknown (no error).
+_windows = st.lists(
+    st.one_of(
+        st.none(),
+        st.tuples(st.floats(-1.0, 1.0),
+                  st.one_of(st.none(), st.just(0.0), st.floats(1e-3, 1.0))),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows=_windows, level=st.sampled_from([0.05, 0.01, 0.1, 0.2, 1e-3]))
+def test_segments_equal_the_state_machine(windows, level):
+    entries = []
+    for k, window in enumerate(windows):
+        fit = None
+        if window is not None:
+            beta, se_beta = window
+            fit = ScalingFit(method="alad", beta=beta, gamma_or_alpha=0.0,
+                             se_beta=se_beta, se_gamma_or_alpha=None, n_obs=108,
+                             significant_5pct=None)
+        entries.append(RollingEntry(1950 + k, 1959 + k, 108, fit))
+    series = _series(entries)
+    assert significance_segments(series, level) == _segments_reference(series, level)
 
 
 def test_csv_layout_and_gap_rows(series, panel):

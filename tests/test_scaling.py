@@ -4,6 +4,9 @@ import importlib.resources
 
 import numpy as np
 import pytest
+from scipy.special import ndtri, stdtr
+from scipy.stats import norm
+from scipy.stats import t as student_t
 
 from growthvol.ingest import DatasetManifest, load_panel
 from growthvol.panel import stratify
@@ -271,3 +274,15 @@ def test_alad_unpolished_replicates_keep_the_standard_error(toy_panel):
     late = stratify(toy_panel, year_range=(1950, 1999))
     fit = fit_alad(late, bootstrap=200, seed=0)
     assert fit.se_beta == pytest.approx(0.014403427443372937, rel=0.01)
+
+
+def test_special_function_tails_equal_scipy_stats():
+    # binned_beta_xy and significance_segments take their Student t and
+    # normal tails from scipy.special, which imports far faster than
+    # scipy.stats; the values must be the same floats.
+    ratios = np.concatenate([np.linspace(0.0, 40.0, 801), np.geomspace(1e-8, 1e4, 241)])
+    for dof in (*range(1, 60), 100, 1000):
+        assert np.array_equal(stdtr(dof, -ratios), student_t.sf(ratios, dof)), dof
+    levels = np.concatenate([[0.05, 0.01, 0.1, 0.2, 1e-3], np.geomspace(1e-12, 0.999, 400)])
+    for level in levels:
+        assert ndtri(1.0 - level / 2.0) == norm.ppf(1.0 - level / 2.0), level

@@ -23,14 +23,26 @@ def make_obs(rows):
 
 def test_sizes_are_demeaned_logs():
     e = float(np.e)
-    three = build_growth_panel(make_obs([
+    panel = build_growth_panel(make_obs([
         ("A", 2000, e), ("B", 2000, e), ("C", 2000, e ** 4),
     ]))
-    np.testing.assert_allclose(three.size, [-1.0, -1.0, 2.0], atol=1e-12)
-    two = build_growth_panel(make_obs([("A", 2000, e ** 2), ("B", 2000, e ** 4)]))
-    np.testing.assert_allclose(two.size, [-1.0, 1.0], atol=1e-12)
-    single = build_growth_panel(make_obs([("A", 2000, 123.0)]))
-    np.testing.assert_allclose(single.size, [0.0], atol=1e-12)
+    np.testing.assert_allclose(sorted(panel.size), [-1.0, -1.0, 2.0], atol=1e-12)
+
+
+def sizes_by_key(rows):
+    panel = build_growth_panel(make_obs(rows))
+    return {(c, y): s for c, y, s in zip(panel.country, panel.year, panel.size)}
+
+
+def test_compute_sizes_examples():
+    e = float(np.e)
+    two = sizes_by_key([("A", 2000, e**2), ("B", 2000, e**4)])
+    assert two[("A", 2000)] == pytest.approx(-1.0)
+    assert two[("B", 2000)] == pytest.approx(1.0)
+    single = sizes_by_key([("A", 2000, 123.0)])
+    assert single[("A", 2000)] == pytest.approx(0.0)
+    three = sizes_by_key([("A", 2000, e), ("B", 2000, e), ("C", 2000, e**4)])
+    assert [three[k] for k in sorted(three)] == pytest.approx([-1.0, -1.0, 2.0])
 
 
 def test_growth_is_log_difference():

@@ -5,14 +5,18 @@ suite fast; the statistically demanding calibration study lives in the
 acceptance tests.
 """
 
+import importlib.resources
 import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from growthvol import aep_fit
 from growthvol.aep import AepParams, sample
 from growthvol.aep_fit import AepFit, _information_se, fit_aep, fit_special
+from growthvol.ingest import DatasetManifest, load_panel
+from growthvol.panel import development_split, stratify
 
 # A right-skewed, heavy-left-tail configuration used across recovery tests.
 TRUTH = AepParams(b_l=0.75, b_r=1.0, a_l=0.045, a_r=0.050, m=0.01)
@@ -193,9 +197,13 @@ def test_json_dict_layout(base_sample):
     payload = fit.to_json_dict()
     assert set(payload) == {
         "b_l", "b_r", "a_l", "a_r", "m", "se", "loglik", "n", "converged",
+        "se_method", "n_restarts_used", "n_bootstrap_unconverged",
     }
     assert payload["n"] == 1000
     assert payload["converged"] is True
+    assert payload["se_method"] == "closed_form"
+    assert payload["n_restarts_used"] == 0
+    assert payload["n_bootstrap_unconverged"] == 0
     assert set(payload["se"]) == {"b_l", "b_r", "a_l", "a_r", "m"}
     assert payload["b_l"] == fit.params.b_l
 
@@ -349,3 +357,68 @@ def test_information_se_of_capped_point_is_none_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _information_se(z, theta) is None
+
+
+# ------------------------------------------------------------ mode bootstrap
+
+
+@pytest.fixture(scope="module")
+def toy_strata():
+    """Growth rates of the bundled panel's developed and developing strata,
+    as ``growthvol fit --panel balanced --split both`` fits them."""
+    path = importlib.resources.files("growthvol") / "data" / "toy_panel_31.csv"
+    manifest = DatasetManifest(data_path=str(path), panel_kind="balanced")
+    panel = load_panel(manifest)[0]
+    developed = development_split(panel)[0]
+    return {
+        label: stratify(panel, development=label,
+                        developed_countries=developed).growth_arrays()[2]
+        for label in ("developed", "developing")
+    }
+
+
+@pytest.fixture(scope="module")
+def toy_bootstrap_fits(toy_strata):
+    return {label: fit_aep(growth, bootstrap_fallback=200, seed=0)
+            for label, growth in toy_strata.items()}
+
+
+def test_mode_bootstrap_leaves_point_fit_untouched(toy_strata, toy_bootstrap_fits):
+    # Replicates stop at a looser tolerance than the point fit; the point
+    # fit, its likelihood and its curvature errors must not depend on
+    # whether the mode's error is bootstrapped.
+    point = fit_aep(toy_strata["developed"], bootstrap_fallback=0)
+    booted = toy_bootstrap_fits["developed"]
+    assert booted.se_method == "hessian+bootstrap_m"
+    assert point.se_method == "hessian"
+    assert point.params == booted.params
+    assert point.loglik == booted.loglik
+    assert point.converged == booted.converged
+    for name in ("b_l", "b_r", "a_l", "a_r"):
+        assert point.std_errors[name] == booted.std_errors[name], name
+    assert booted.std_errors["m"] != point.std_errors["m"]
+
+
+# se.m with replicates stopped at xatol 1e-6, fatol 1e-7 (the stop used
+# before 1e-5): the looser stop must keep it within 1%.
+_SE_M_AT_1E6_STOP = {"developed": 0.0024596760898851263,
+                     "developing": 0.006266455164236934}
+
+
+@pytest.mark.parametrize("label", sorted(_SE_M_AT_1E6_STOP))
+def test_mode_bootstrap_stop_keeps_the_standard_error(toy_bootstrap_fits, label):
+    fit = toy_bootstrap_fits[label]
+    assert fit.se_method == "hessian+bootstrap_m"
+    assert fit.std_errors["m"] == pytest.approx(_SE_M_AT_1E6_STOP[label], rel=0.01)
+    assert fit.n_bootstrap_unconverged == 0
+
+
+def test_replicates_stopped_by_their_limit_are_counted(base_sample, monkeypatch):
+    # With a budget of ten likelihood calls no replicate can converge, and
+    # every one of them must be counted, on the fit and in its JSON.
+    monkeypatch.setattr(aep_fit, "_BOOTSTRAP_OPTIONS",
+                        {**aep_fit._BOOTSTRAP_OPTIONS, "maxfev": 10})
+    fit = fit_aep(base_sample, bootstrap_fallback=15, seed=0)
+    assert fit.se_method == "hessian+bootstrap_m"
+    assert fit.n_bootstrap_unconverged == 15
+    assert fit.to_json_dict()["n_bootstrap_unconverged"] == 15

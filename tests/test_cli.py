@@ -121,7 +121,8 @@ def test_fit_artifacts_and_recovery(isolated_cwd):
 
     doc = _load_json("fitted/fit_all.json")
     assert set(doc) == {"config", "b_l", "b_r", "a_l", "a_r", "m",
-                        "se", "loglik", "n", "converged"}
+                        "se", "loglik", "n", "converged", "se_method",
+                        "n_restarts_used", "n_bootstrap_unconverged"}
     assert doc["converged"] is True
     assert doc["n"] == 25 * 20
     se = doc["se"]

@@ -1,7 +1,13 @@
 """Parsing, validation, reporting, and round-trip serialization."""
 
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthvol.ingest import (
     CENTURY_BALANCED_COUNTRIES,
@@ -239,6 +245,45 @@ def test_round_trip_awkward_floats(tmp_path):
     )
     assert panel2 == panel
     np.testing.assert_array_equal(panel2.gdppc, panel.gdppc)
+
+
+@st.composite
+def long_panels(draw):
+    """(countries, years, levels): every positive finite float is a level."""
+    n_countries = draw(st.integers(1, 4))
+    years = list(range(1980, 1980 + draw(st.integers(2, 5))))
+    level = st.floats(min_value=5e-324, max_value=sys.float_info.max,
+                      allow_nan=False, allow_infinity=False)
+    levels = draw(st.lists(level, min_size=n_countries * len(years),
+                           max_size=n_countries * len(years)))
+    return [f"C{i}" for i in range(n_countries)], years, levels
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_panels())
+def test_long_csv_round_trip_is_exact_for_any_positive_level(case):
+    countries, years, levels = case
+    keys = [(country, year) for country in countries for year in years]
+    rows = ["country,year,gdppc"] + [f"{c},{y},{v!r}" for (c, y), v in zip(keys, levels)]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "in.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        (tmp / "map.csv").write_text(
+            "country,region\n" + "".join(f"{c},SubSaharanAfrica\n" for c in countries),
+            encoding="utf-8",
+        )
+
+        def load(name):
+            return load_panel(DatasetManifest(
+                data_path=tmp / name, region_map_path=tmp / "map.csv",
+                year_min=years[0], year_max=years[-1]))[0]
+
+        panel = load("in.csv")
+        write_long_csv(panel, tmp / "out.csv")
+        again = load("out.csv")
+    assert again == panel
+    np.testing.assert_array_equal(again.gdppc, panel.gdppc)
+    assert sorted(panel.gdppc.tolist()) == sorted(levels)
 
 
 def test_manifest_validation():

@@ -45,20 +45,28 @@ error of m is taken from a nonparametric bootstrap instead, which tracks the
 estimator's actual, faster-than-sqrt(n) convergence.
 
 Bootstrap replicates are single warm-started Nelder-Mead refits, without
-restarts or the polish, stopped at 1e-5 in the parameters and 1e-6 in the
-value.  A replicate only has to land well within the spread being measured:
-against a 1e-6 stop the SE of m moved by less than 0.5% on most samples, at
-about three quarters of the likelihood calls, while a 1e-4 stop biased it
-down.  On a multimodal resample the stop can decide which optimum a replicate
-ends on, which moved the SE of m by up to 5% on single samples.  Point fits
-keep the 1e-8 refine and the polish, so no point estimate depends on the
-bootstrap settings.
+restarts or the polish, stopped at 1e-6 in the parameters and 1e-7 in the
+value.  A looser stop does not only shorten each refit: on a multimodal
+resample it can end a replicate on a worse optimum.  Stopped at 1e-5 and
+1e-6, one replicate in 200 stalled 3 to 7 units of log-likelihood short on
+2 of 20 samples of n = 1000, which moved the SE of m there by -4.9% and
++1.3%; a 1e-4 stop biased the SE of m down.  Point fits keep the 1e-8
+refine and the polish, so no point estimate depends on the bootstrap
+settings.
+
+Every Nelder-Mead run goes through ``_nelder_mead``, which repeats scipy's
+algorithm step for step and returns the same digits, at about a fifth of
+its bookkeeping cost per likelihood call; most of a bootstrapped fit is
+spent in these runs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import asdict, dataclass
+from functools import reduce
 from math import isfinite
+from operator import add
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -77,10 +85,8 @@ _CAP_TOL = 1e-6
 
 _PROFILE_OPTIONS = {"xatol": 1e-4, "fatol": 1e-6, "maxiter": 400, "maxfev": 600}
 _REFINE_OPTIONS = {"xatol": 1e-8, "fatol": 1e-9, "maxiter": 4000, "maxfev": 8000}
-# Replicates stop at 1e-5, not the point fit's 1e-8: they feed a spread, not
-# an estimate, and 1e-5 takes about a quarter fewer likelihood calls than 1e-6
-# (1e-4 biased the SE of m down; see the module docstring).
-_BOOTSTRAP_OPTIONS = {"xatol": 1e-5, "fatol": 1e-6, "maxiter": 1500, "maxfev": 3000}
+# Replicate stop: see the module docstring.
+_BOOTSTRAP_OPTIONS = {"xatol": 1e-6, "fatol": 1e-7, "maxiter": 1500, "maxfev": 3000}
 
 # Below this fitted shape, curvature in m at the optimum reflects the
 # finite-difference step rather than sampling variability (see module
@@ -146,6 +152,104 @@ def _negll(theta, z_sorted):
     return value if isfinite(value) else np.inf
 
 
+class _BudgetSpent(Exception):
+    """Raised inside ``_nelder_mead`` by a call past its ``maxfev``."""
+
+
+def _nelder_mead(f, x0, args=(), *, xatol, fatol, maxiter, maxfev):
+    """Minimize f from x0 by Nelder-Mead: (value, x, converged).
+
+    Step for step the algorithm of ``scipy.optimize.minimize(f, x0, args,
+    method="Nelder-Mead", options=...)`` without bounds: the same initial
+    simplex, coefficients, operation order, stopping tests and order among
+    tied vertices, so it returns the same digits and the same success flag.
+    It keeps the simplex in lists of floats instead of small arrays, which
+    costs about 4 us of bookkeeping per call of f where scipy takes about 20.
+    f is called with a list of floats and must not return NaN.
+    """
+    n = len(x0)
+    start = [float(v) for v in x0]
+    sim = [start]
+    for k in range(n):
+        vertex = start.copy()
+        vertex[k] = (1 + 0.05) * vertex[k] if vertex[k] != 0 else 0.00025
+        sim.append(vertex)
+    fsim = [np.inf] * (n + 1)
+    nfev = 0
+
+    def evaluate(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return f(x, *args)
+
+    def sort(only_last_moved):
+        # Distinct values have one ascending order, however found.  Ties
+        # keep the order numpy's (unstable) argsort gives them, as in scipy.
+        if len(set(fsim)) <= n:
+            order = np.argsort(np.array(fsim)).tolist()
+        elif only_last_moved:
+            p = bisect(fsim, fsim[n], 0, n)
+            sim.insert(p, sim.pop())
+            fsim.insert(p, fsim.pop())
+            return
+        else:
+            order = sorted(range(n + 1), key=fsim.__getitem__)
+        sim[:] = [sim[i] for i in order]
+        fsim[:] = [fsim[i] for i in order]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = evaluate(sim[k])
+    except _BudgetSpent:
+        pass
+    sort(False)
+    sort(False)  # scipy sorts the first simplex twice
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        best, f_best = sim[0], fsim[0]
+        # fsim is ascending, so its last entry is the farthest from f_best.
+        if (abs(f_best - fsim[n]) <= fatol
+                and all(abs(v - b) <= xatol for s in sim[1:] for v, b in zip(s, best))):
+            break
+        shrunk = False
+        try:
+            # Rows added in order, as numpy's sum over axis 0 adds them.
+            xbar = [reduce(add, column) / n for column in zip(*sim[:-1])]
+            worst = sim[n]
+            xr = [2 * b - w for b, w in zip(xbar, worst)]
+            fxr = evaluate(xr)
+            if fxr < f_best:
+                xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
+                fxe = evaluate(xe)
+                sim[n], fsim[n] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[n - 1]:
+                sim[n], fsim[n] = xr, fxr
+            else:
+                if fxr < fsim[n]:
+                    xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
+                    fxc = evaluate(xc)
+                    shrunk = not fxc <= fxr
+                    if not shrunk:
+                        sim[n], fsim[n] = xc, fxc
+                else:
+                    xcc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
+                    fxcc = evaluate(xcc)
+                    shrunk = not fxcc < fsim[n]
+                    if not shrunk:
+                        sim[n], fsim[n] = xcc, fxcc
+                if shrunk:
+                    for j in range(1, n + 1):
+                        sim[j] = [a + 0.5 * (v - a) for a, v in zip(best, sim[j])]
+                        fsim[j] = evaluate(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        sort(not shrunk)
+    return fsim[0], np.array(sim[0]), nfev < maxfev and iterations < maxiter
+
+
 def _profile_mode(z_sorted, n_candidates, quantile_range):
     """Best (theta4, m, value) over a quantile grid of mode candidates."""
     qs = np.linspace(quantile_range[0], quantile_range[1], n_candidates)
@@ -153,15 +257,10 @@ def _profile_mode(z_sorted, n_candidates, quantile_range):
     theta4 = np.zeros(4)  # shapes 1, scales 1: Laplace at unit scale
     best = (np.inf, theta4, candidates[0])
     for m in candidates:
-        res = minimize(
-            lambda t4: _negll(np.append(t4, m), z_sorted),
-            theta4,
-            method="Nelder-Mead",
-            options=_PROFILE_OPTIONS,
-        )
-        theta4 = res.x  # warm start the next candidate
-        if res.fun < best[0]:
-            best = (res.fun, res.x.copy(), m)
+        value, theta4, _ = _nelder_mead(  # warm start the next candidate
+            lambda t4: _negll((*t4, m), z_sorted), theta4, **_PROFILE_OPTIONS)
+        if value < best[0]:
+            best = (value, theta4, m)
     return best
 
 
@@ -176,18 +275,16 @@ def _refine(z_sorted, theta0, options=_REFINE_OPTIONS, restarts=True):
             starts.append(start)
     best_fun, best_x, best_success = np.inf, starts[0], False
     for start in starts:
-        res = minimize(_negll, start, args=(z_sorted,), method="Nelder-Mead",
-                       options=options)
-        if res.fun < best_fun:
-            best_fun, best_x, best_success = res.fun, res.x, bool(res.success)
+        value, x, success = _nelder_mead(_negll, start, (z_sorted,), **options)
+        if value < best_fun:
+            best_fun, best_x, best_success = value, x, success
     if restarts:
         # A Nelder-Mead simplex can collapse just short of the optimum; one
         # re-polish from the incumbent with a fresh simplex recovers the
         # last few digits (and with them, equivariance under rescaling).
-        res = minimize(_negll, best_x, args=(z_sorted,), method="Nelder-Mead",
-                       options=options)
-        if res.fun < best_fun:
-            best_fun, best_x, best_success = res.fun, res.x, bool(res.success)
+        value, x, success = _nelder_mead(_negll, best_x, (z_sorted,), **options)
+        if value < best_fun:
+            best_fun, best_x, best_success = value, x, success
     return best_fun, best_x, best_success, len(starts) - 1
 
 

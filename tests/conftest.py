@@ -1,10 +1,27 @@
-"""Shared test wiring: the acceptance-criteria summary block.
+"""Shared test wiring: the bundled toy panel and the acceptance summary.
 
 Acceptance tests report through ``record_criterion``, which prints one
 PASS/FAIL line immediately (visible under ``pytest -s``) and queues it for a
 summary section that the terminal reporter always shows, even when output
 capturing is on.
 """
+
+import importlib.resources
+
+import pytest
+
+from growthvol.ingest import DatasetManifest, load_panel
+
+TOY_PATH = str(importlib.resources.files("growthvol") / "data" / "toy_panel_31.csv")
+
+
+@pytest.fixture(scope="session")
+def toy_panel():
+    """The bundled balanced century panel, 31 countries, 1900-1999."""
+    manifest = DatasetManifest(data_path=TOY_PATH, year_min=1900, year_max=1999,
+                               panel_kind="balanced")
+    return load_panel(manifest)[0]
+
 
 _ACCEPTANCE_LINES: list[tuple[float, str]] = []
 

@@ -11,7 +11,6 @@ Every threshold here is pinned; a criterion that cannot be met fails loudly
 rather than being weakened.
 """
 
-import importlib.resources
 import os
 import time
 from pathlib import Path
@@ -36,8 +35,6 @@ from growthvol.scaling import (
 )
 from growthvol.synth import SynthSpec, generate
 
-TOY_PATH = str(importlib.resources.files("growthvol") / "data" / "toy_panel_31.csv")
-
 # Generating law of the bundled century panel (see demos/00_build_toy_panel.py).
 TOY_ALPHA, TOY_PHI1, TOY_BETA = 0.017, 0.25, -0.18
 TOY_SHOCK = AepParams(b_l=0.8, b_r=1.1, a_l=0.035, a_r=0.038, m=0.0)
@@ -60,11 +57,6 @@ def _load_century(path) -> GrowthPanel:
     manifest = DatasetManifest(data_path=str(path), year_min=1900,
                                year_max=1999, panel_kind="balanced")
     return load_panel(manifest)[0]
-
-
-@pytest.fixture(scope="module")
-def toy_panel():
-    return _load_century(TOY_PATH)
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,6 @@ suite fast; the statistically demanding calibration study lives in the
 acceptance tests.
 """
 
-import importlib.resources
 import warnings
 
 import numpy as np
@@ -15,7 +14,6 @@ import scipy.stats
 from growthvol import aep_fit
 from growthvol.aep import AepParams, sample
 from growthvol.aep_fit import AepFit, _information_se, fit_aep, fit_special
-from growthvol.ingest import DatasetManifest, load_panel
 from growthvol.panel import development_split, stratify
 
 # A right-skewed, heavy-left-tail configuration used across recovery tests.
@@ -363,15 +361,12 @@ def test_information_se_of_capped_point_is_none_without_warning():
 
 
 @pytest.fixture(scope="module")
-def toy_strata():
+def toy_strata(toy_panel):
     """Growth rates of the bundled panel's developed and developing strata,
     as ``growthvol fit --panel balanced --split both`` fits them."""
-    path = importlib.resources.files("growthvol") / "data" / "toy_panel_31.csv"
-    manifest = DatasetManifest(data_path=str(path), panel_kind="balanced")
-    panel = load_panel(manifest)[0]
-    developed = development_split(panel)[0]
+    developed = development_split(toy_panel)[0]
     return {
-        label: stratify(panel, development=label,
+        label: stratify(toy_panel, development=label,
                         developed_countries=developed).growth_arrays()[2]
         for label in ("developed", "developing")
     }
@@ -384,9 +379,9 @@ def toy_bootstrap_fits(toy_strata):
 
 
 def test_mode_bootstrap_leaves_point_fit_untouched(toy_strata, toy_bootstrap_fits):
-    # Replicates stop at a looser tolerance than the point fit; the point
-    # fit, its likelihood and its curvature errors must not depend on
-    # whether the mode's error is bootstrapped.
+    # Replicates stop at a looser tolerance than the point fit and skip its
+    # restarts and polish; the point fit, its likelihood and its curvature
+    # errors must not depend on whether the mode's error is bootstrapped.
     point = fit_aep(toy_strata["developed"], bootstrap_fallback=0)
     booted = toy_bootstrap_fits["developed"]
     assert booted.se_method == "hessian+bootstrap_m"
@@ -399,8 +394,8 @@ def test_mode_bootstrap_leaves_point_fit_untouched(toy_strata, toy_bootstrap_fit
     assert booted.std_errors["m"] != point.std_errors["m"]
 
 
-# se.m with replicates stopped at xatol 1e-6, fatol 1e-7 (the stop used
-# before 1e-5): the looser stop must keep it within 1%.
+# se.m as fitted with scipy's Nelder-Mead for every replicate, each stopped
+# at xatol 1e-6 and fatol 1e-7; a cheaper replicate must keep it within 1%.
 _SE_M_AT_1E6_STOP = {"developed": 0.0024596760898851263,
                      "developing": 0.006266455164236934}
 
@@ -422,3 +417,56 @@ def test_replicates_stopped_by_their_limit_are_counted(base_sample, monkeypatch)
     assert fit.se_method == "hessian+bootstrap_m"
     assert fit.n_bootstrap_unconverged == 15
     assert fit.to_json_dict()["n_bootstrap_unconverged"] == 15
+
+
+# ------------------------------------------------------------- Nelder-Mead
+
+
+def _counted(f):
+    calls = []
+
+    def wrapped(x, *args):
+        calls.append(list(x))
+        return f(x, *args)
+
+    return wrapped, calls
+
+
+def _rounded_bowl(x):
+    # A quadratic rounded to one decimal: vertices and trial points tie.
+    return float(np.round((x[0] - 0.3) ** 2 + 3.0 * (x[1] + 0.2) ** 2, 1))
+
+
+def _nelder_mead_cases():
+    z = np.sort(_draw(TRUTH, 300, seed=4) / 0.04)
+    warm = np.array([-0.2, 0.1, 0.3, 0.2, 0.25])
+    bootstrap = dict(aep_fit._BOOTSTRAP_OPTIONS)
+    return {
+        "warm start": (aep_fit._negll, warm, (z,), bootstrap),
+        "zero start": (aep_fit._negll, np.zeros(5), (z,), bootstrap),
+        "evaluation limit": (aep_fit._negll, warm, (z,), {**bootstrap, "maxfev": 47}),
+        "iteration limit": (aep_fit._negll, warm, (z,), {**bootstrap, "maxiter": 30}),
+        # Two first vertices step past the shape cap, so they tie at inf.
+        "capped vertices": (aep_fit._negll, np.array([3.4, 3.4, 0.0, 0.0, 0.1]),
+                            (z,), bootstrap),
+        "rounded values": (_rounded_bowl, np.array([-0.26, 0.45]), (), bootstrap),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_nelder_mead_cases()))
+def test_nelder_mead_equals_scipy(case):
+    # Every fitted digit depends on _nelder_mead taking scipy's steps: the
+    # same trial points, the same answer and the same success flag.
+    from scipy.optimize import minimize
+
+    f, x0, args, options = _nelder_mead_cases()[case]
+    ours, our_calls = _counted(f)
+    theirs, their_calls = _counted(f)
+    with np.errstate(over="ignore"):
+        value, x, converged = aep_fit._nelder_mead(ours, x0, args, **options)
+        res = minimize(theirs, x0, args=args, method="Nelder-Mead", options=options)
+    assert our_calls == their_calls
+    assert value == res.fun
+    np.testing.assert_array_equal(x, res.x)
+    assert converged == res.success
+    assert converged == (case not in ("evaluation limit", "iteration limit"))

@@ -217,34 +217,33 @@ def test_round_trip_exact(tmp_path, wide_file):
     assert panel_to_long_csv(panel2) == panel_to_long_csv(panel)
 
 
-def test_round_trip_awkward_floats(tmp_path):
-    rng = np.random.default_rng(5)
-    rows = ["country,year,gdppc"]
-    for i in range(3):
-        for year in (1980, 1981, 1982):
-            value = float(np.exp(rng.normal(8.0, 1.0)))
-            rows.append(f"C{i},{year},{format(value, '.17g')}")
-    path = tmp_path / "x.csv"
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    map_path = tmp_path / "map.csv"
-    map_path.write_text(
-        "country,region\n"
-        + "\n".join(f"C{i},SubSaharanAfrica" for i in range(3))
-        + "\n",
+def _long_csv_round_trip(directory, countries, years, levels):
+    """Load a long CSV of ``levels``, write it back, load that: both panels."""
+    keys = [(country, year) for country in countries for year in years]
+    rows = ["country,year,gdppc"] + [f"{c},{y},{v!r}" for (c, y), v in zip(keys, levels)]
+    (directory / "in.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (directory / "map.csv").write_text(
+        "country,region\n" + "".join(f"{c},SubSaharanAfrica\n" for c in countries),
         encoding="utf-8",
     )
-    manifest = DatasetManifest(
-        data_path=path, region_map_path=map_path, year_min=1980, year_max=1982
-    )
-    panel, _ = load_panel(manifest)
-    out = tmp_path / "y.csv"
-    write_long_csv(panel, out)
-    panel2, _ = load_panel(
-        DatasetManifest(data_path=out, region_map_path=map_path,
-                        year_min=1980, year_max=1982)
-    )
-    assert panel2 == panel
-    np.testing.assert_array_equal(panel2.gdppc, panel.gdppc)
+
+    def load(name):
+        return load_panel(DatasetManifest(
+            data_path=directory / name, region_map_path=directory / "map.csv",
+            year_min=years[0], year_max=years[-1]))[0]
+
+    panel = load("in.csv")
+    write_long_csv(panel, directory / "out.csv")
+    return panel, load("out.csv")
+
+
+def test_round_trip_awkward_floats(tmp_path):
+    rng = np.random.default_rng(5)
+    levels = [float(np.exp(rng.normal(8.0, 1.0))) for _ in range(9)]
+    panel, again = _long_csv_round_trip(tmp_path, ["C0", "C1", "C2"],
+                                        [1980, 1981, 1982], levels)
+    assert again == panel
+    np.testing.assert_array_equal(again.gdppc, panel.gdppc)
 
 
 @st.composite
@@ -263,24 +262,8 @@ def long_panels(draw):
 @given(long_panels())
 def test_long_csv_round_trip_is_exact_for_any_positive_level(case):
     countries, years, levels = case
-    keys = [(country, year) for country in countries for year in years]
-    rows = ["country,year,gdppc"] + [f"{c},{y},{v!r}" for (c, y), v in zip(keys, levels)]
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        (tmp / "in.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-        (tmp / "map.csv").write_text(
-            "country,region\n" + "".join(f"{c},SubSaharanAfrica\n" for c in countries),
-            encoding="utf-8",
-        )
-
-        def load(name):
-            return load_panel(DatasetManifest(
-                data_path=tmp / name, region_map_path=tmp / "map.csv",
-                year_min=years[0], year_max=years[-1]))[0]
-
-        panel = load("in.csv")
-        write_long_csv(panel, tmp / "out.csv")
-        again = load("out.csv")
+        panel, again = _long_csv_round_trip(Path(tmp), countries, years, levels)
     assert again == panel
     np.testing.assert_array_equal(again.gdppc, panel.gdppc)
     assert sorted(panel.gdppc.tolist()) == sorted(levels)

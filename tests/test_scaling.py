@@ -1,14 +1,11 @@
 """Scaling estimators against the generator oracle and their invariants."""
 
-import importlib.resources
-
 import numpy as np
 import pytest
 from scipy.special import ndtri, stdtr
 from scipy.stats import norm
 from scipy.stats import t as student_t
 
-from growthvol.ingest import DatasetManifest, load_panel
 from growthvol.panel import stratify
 from growthvol.scaling import (
     _irls_location,
@@ -246,14 +243,6 @@ def test_irls_location_edge_cases_match_reference(tail_weights):
         assert _irls_location(y_case, x_case, weights, tail_weights, start) == expected
     assert _irls_location(cases[-1][0], cases[-1][1], weights, tail_weights,
                           (0.0, 0.0)) == (0.0, 0.0)
-
-
-@pytest.fixture(scope="module")
-def toy_panel():
-    path = importlib.resources.files("growthvol") / "data" / "toy_panel_31.csv"
-    manifest = DatasetManifest(data_path=str(path), year_min=1900, year_max=1999,
-                               panel_kind="balanced")
-    return load_panel(manifest)[0]
 
 
 def test_alad_bootstrap_leaves_point_fit_untouched(hetero_panel):

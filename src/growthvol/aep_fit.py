@@ -83,6 +83,10 @@ _LOG_SCALE_CAP = 12.0
 _CAPS = np.array([_LOG_SHAPE_CAP] * 2 + [_LOG_SCALE_CAP] * 2 + [np.inf])
 _CAP_TOL = 1e-6
 
+# The mode profile scans this many sample quantiles, evenly spaced over
+# this band.
+_MODE_CANDIDATES = 41
+_MODE_QUANTILES = (0.05, 0.95)
 _PROFILE_OPTIONS = {"xatol": 1e-4, "fatol": 1e-6, "maxiter": 400, "maxfev": 600}
 _REFINE_OPTIONS = {"xatol": 1e-8, "fatol": 1e-9, "maxiter": 4000, "maxfev": 8000}
 # Replicate stop: see the module docstring.
@@ -250,9 +254,9 @@ def _nelder_mead(f, x0, args=(), *, xatol, fatol, maxiter, maxfev):
     return fsim[0], np.array(sim[0]), nfev < maxfev and iterations < maxiter
 
 
-def _profile_mode(z_sorted, n_candidates, quantile_range):
+def _profile_mode(z_sorted):
     """Best (theta4, m, value) over a quantile grid of mode candidates."""
-    qs = np.linspace(quantile_range[0], quantile_range[1], n_candidates)
+    qs = np.linspace(*_MODE_QUANTILES, _MODE_CANDIDATES)
     candidates = np.unique(np.quantile(z_sorted, qs))
     theta4 = np.zeros(4)  # shapes 1, scales 1: Laplace at unit scale
     best = (np.inf, theta4, candidates[0])
@@ -423,8 +427,6 @@ def _to_natural(theta, loc, scale, mirrored=False):
 def fit_aep(
     sample,
     *,
-    mode_candidates: int = 41,
-    quantile_range: tuple[float, float] = (0.05, 0.95),
     bootstrap_fallback: int = 200,
     seed: int = 0,
 ) -> AepFit:
@@ -435,10 +437,6 @@ def fit_aep(
     sample : array_like
         Observations; at least 50 finite values are required, since the
         five-parameter likelihood is badly behaved on smaller samples.
-    mode_candidates : int
-        Number of sample quantiles scanned when profiling the mode.
-    quantile_range : (float, float)
-        Quantile band from which mode candidates are drawn.
     bootstrap_fallback : int
         Number of bootstrap replicates used for standard errors when the
         observed information matrix is not positive definite, and for the
@@ -477,7 +475,7 @@ def fit_aep(
     # the optimizers treat as a rejected step; that is silenced here, once
     # for the whole fit, rather than on every likelihood call.
     with np.errstate(over="ignore"):
-        _, theta4, m0 = _profile_mode(z, mode_candidates, quantile_range)
+        _, theta4, m0 = _profile_mode(z)
         fun, theta_hat, success, n_restarts = _refine(z, np.append(theta4, m0))
         fun, theta_hat = _polish(z, theta_hat)
         converged = bool(success) and bool(np.isfinite(fun))

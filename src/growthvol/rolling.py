@@ -16,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 
-from scipy.special import ndtri
-
 from growthvol.panel import GrowthPanel, stratify
-from growthvol.scaling import ScalingFit, _seed_entropy, fit_alad
+from growthvol.scaling import ScalingFit, _seed_entropy, _two_sided_critical, fit_alad
 
 
 @dataclass
@@ -115,7 +113,7 @@ def significance_segments(
         raise ValueError("empty rolling series")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    critical = float(ndtri(1.0 - level / 2.0))
+    critical = _two_sided_critical(level)
 
     def status(entry: RollingEntry):
         if entry.fit is None or entry.fit.se_beta is None:

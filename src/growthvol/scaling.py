@@ -17,21 +17,14 @@ Two estimators of the scale relation ln(sigma) ~ beta * s:
 
   whose location part is a weighted median regression (so residuals have
   zero weighted median by construction) and whose linear term identifies
-  beta through the scale Jacobian.  Optimization alternates an iteratively
-  reweighted LAD step for (alpha, phi1) with a one-dimensional search on
-  the smooth, convex beta profile and finishes with an exact
-  weighted-quantile step for alpha.  Point fits also polish all three
-  parameters with a simplex before that last step.  Every accepted step
-  must improve the objective, so the recorded trace is non-increasing by
-  construction.
-
-  Bootstrap replicates skip the polish.  It took about 60% of a replicate's
-  time and moves the replicate estimates by a median |delta beta| of about
-  1e-8; a few replicates stop at a corner of the nonsmooth objective, up to
-  5e-3 away on a 279-pair window.  Over 40 synthetic 10-year windows
-  (SynthSpec(beta=-0.2), seeds 100-107, 50 replicates) the
-  unpolished/polished se_beta ratio had mean 1.0005 and stayed within
-  [0.994, 1.007].
+  beta through the scale Jacobian.  Optimization alternates two steps: an
+  exact weighted median regression for (alpha, phi1) at fixed beta, which
+  pivots a line through two observations, and a one-dimensional search on
+  the smooth, convex beta profile.  It finishes with an exact
+  weighted-quantile step for alpha.  Every accepted step must improve the
+  objective, so the recorded trace is non-increasing by construction.
+  Point fits and bootstrap replicates run the same optimizer with the same
+  stop.
 
 Standard errors: classical OLS errors for the binned method (t-test with
 n_bins - 2 degrees of freedom); nonparametric bootstrap over whole countries
@@ -44,12 +37,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
-from scipy.special import stdtr
+from scipy.optimize import minimize_scalar
+from scipy.special import ndtri, stdtr
 
 from growthvol.panel import GrowthPanel, demean_by_group
 
 _BETA_BOUNDS = (-5.0, 5.0)
+# The alternation ends once a round lowers the loss by less than this
+# fraction of (1 + loss), or after _MAX_ALTERNATIONS rounds.
+_ALTERNATION_TOL = 1e-8
+_MAX_ALTERNATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,9 @@ class ScalingFit:
     ``gamma_or_alpha`` is the binned regression's intercept gamma or the
     ALAD constant alpha.  ``phi1`` and its error are None for the binned
     method.  ``trace`` records the ALAD objective after each accepted
-    optimization stage.
+    optimization stage.  ``n_bootstrap_requested`` and ``n_bootstrap_used``
+    count the ALAD bootstrap replicates asked for and fitted; both are None
+    for the binned method.
     """
 
     method: str
@@ -81,6 +80,8 @@ class ScalingFit:
     significant_5pct: bool | None
     phi1: float | None = None
     se_phi1: float | None = None
+    n_bootstrap_requested: int | None = None
+    n_bootstrap_used: int | None = None
     trace: list[float] = field(default_factory=list, repr=False)
 
     def to_json_dict(self, bins: list[BinStat] | None = None) -> dict:
@@ -89,9 +90,13 @@ class ScalingFit:
             "beta": self.beta,
             "se_beta": self.se_beta,
             "alpha_or_gamma": self.gamma_or_alpha,
+            "se_alpha_or_gamma": self.se_gamma_or_alpha,
             "phi1": self.phi1,
+            "se_phi1": self.se_phi1,
             "n": self.n_obs,
             "significant_5pct": self.significant_5pct,
+            "n_bootstrap_requested": self.n_bootstrap_requested,
+            "n_bootstrap_used": self.n_bootstrap_used,
             "bins": None if bins is None else [
                 {"bin": b.bin_index, "mean_size": b.mean_size,
                  "sigma": b.sigma, "count": b.count}
@@ -213,52 +218,62 @@ def alad_objective(panel: GrowthPanel, alpha, phi1, beta,
 
 
 def _weighted_quantile(values, weights, fraction):
-    """Smallest value v with (weight below or at v) >= fraction of total."""
+    """(v, i): the smallest v = values[i] with weight below or at v >= fraction of total."""
     order = np.argsort(values, kind="stable")
     cumulative = np.cumsum(weights[order])
-    target = fraction * cumulative[-1]
-    index = int(np.searchsorted(cumulative, target, side="left"))
-    return float(values[order][min(index, values.size - 1)])
+    position = int(np.searchsorted(cumulative, fraction * cumulative[-1], side="left"))
+    index = int(order[min(position, values.size - 1)])
+    return float(values[index]), index
 
 
-def _irls_location(y, x, weights, tail_weights, start, iterations=60, tol=1e-12):
-    """(intercept, slope) minimizing sum of weights * rho(y - a - b x).
+def _exact_location(y, x, weights, tail_weights, start):
+    """(intercept, slope) minimizing sum of weights * rho(y - a - b x), exactly.
 
-    Iteratively reweighted least squares with the standard absolute-value
-    majorization; the caller re-checks the true objective, so occasional
-    non-monotone steps from the epsilon guard are harmless.
+    Some optimal line passes through two observations (Koenker & Bassett
+    1978).  At the start's slope the best intercept is a weighted quantile,
+    which puts the line through one observation j.  A pivot then turns the
+    line about j to the best slope through j: with d = x - x[j], a line of
+    slope b through j leaves residuals d * (t - b), where t = (y - y[j]) / d
+    are the slopes to the other observations, so its loss is a check loss in
+    b with weights w |d|, minimized by a weighted quantile of t.  That line
+    passes through a second observation k, about which the next pivot turns.
+    The walk stops when a pivot no longer lowers the loss: the line is then
+    optimal when turned about either of its two observations, which for
+    observations in general position (no three on one line) makes it a
+    minimum.  A constant regressor leaves the slope unidentified, and the
+    start comes back.
     """
-    a, b = start
+    if np.ptp(x) == 0.0:
+        return start
     w_left, w_right = tail_weights
-    floor = 1e-10 * (np.std(y) + 1e-12)
-    # Loop invariants, computed once.  With equal tail weights the per-residual
-    # weight does not depend on the sign of e, and weights * w_left is the
-    # same product elementwise as weights * where(e >= 0, w_right, w_left).
-    xx = x * x
-    xy = x * y
-    symmetric = weights * w_left if w_left == w_right else None
-    for _ in range(iterations):
-        e = y - a - b * x
-        if symmetric is None:
-            tail = weights * np.where(e >= 0.0, w_right, w_left)
-        else:
-            tail = symmetric
-        u = tail / np.maximum(np.abs(e), floor)
-        sw = u.sum()
-        swx = float(u @ x)
-        swxx = float(u @ xx)
-        swy = float(u @ y)
-        swxy = float(u @ xy)
-        det = sw * swxx - swx * swx
-        if not np.isfinite(det) or det <= 1e-14 * max(sw * swxx, 1e-300):
-            break  # lag regressor is (nearly) constant; keep current point
-        a_new = (swxx * swy - swx * swxy) / det
-        b_new = (sw * swxy - swx * swy) / det
-        shift = max(abs(a_new - a), abs(b_new - b))
-        a, b = a_new, b_new
-        if shift < tol:
-            break
-    return a, b
+
+    def pivot(j):
+        """(a, b, loss, k) of the best line through observation j and another, k."""
+        others = np.flatnonzero(x != x[j])
+        d = x[others] - x[j]
+        spread = weights[others] * np.abs(d)
+        # Left of j a positive residual means a slope below b, so the tail
+        # weights swap sides there.
+        below = w_right * spread[d > 0.0].sum() + w_left * spread[d < 0.0].sum()
+        slope, k = _weighted_quantile(
+            (y[others] - y[j]) / d, spread, below / ((w_left + w_right) * spread.sum())
+        )
+        intercept = float(y[j] - slope * x[j])
+        loss = float(weights @ _rho(y - intercept - slope * x, tail_weights))
+        return intercept, slope, loss, int(others[k])
+
+    _, j = _weighted_quantile(y - start[1] * x, weights, w_right / (w_left + w_right))
+    a, b, best, j = pivot(j)
+    while True:
+        intercept, slope, candidate, k = pivot(j)
+        if not candidate < best:
+            return a, b
+        a, b, best, j = intercept, slope, candidate, k
+
+
+def _two_sided_critical(level: float) -> float:
+    """Normal critical value of a two-sided test at ``level``."""
+    return float(ndtri(1.0 - level / 2.0))
 
 
 def fit_alad(
@@ -266,8 +281,6 @@ def fit_alad(
     *,
     bootstrap: int = 200,
     seed=0,
-    tol: float = 1e-8,
-    max_alternations: int = 200,
     tail_weights: tuple[float, float] = (1.0, 1.0),
 ) -> ScalingFit:
     """Fit the heteroskedastic AR(1) by asymmetric least absolute deviation.
@@ -278,15 +291,13 @@ def fit_alad(
         Pairs (r_t, r_{t-1}, s_{t-1}) come from consecutive years only.
     bootstrap : int
         Country-level bootstrap replicates for standard errors; 0 disables
-        them (point estimates only, significance then unknown).  Replicates
-        are fitted without the final simplex polish; the point estimate and
-        ``trace`` are the same whatever this is.
+        them (point estimates only, significance then unknown).  Each
+        replicate is fitted exactly as the point fit is, and the point
+        estimate and ``trace`` are the same whatever this is.  Errors are
+        None when fewer than max(10, bootstrap // 2) replicates could be
+        fitted.
     seed : int or sequence of ints
         Root of the deterministic per-replicate RNG streams.
-    tol : float
-        Relative objective-improvement threshold ending the alternation.
-    max_alternations : int
-        Upper bound on coordinate alternations.
     tail_weights : (float, float)
         Loss weights for negative/positive residuals.  (1, 1) is the
         symmetric least-absolute-deviation kernel; unequal weights fit an
@@ -295,7 +306,8 @@ def fit_alad(
     Returns
     -------
     ScalingFit with method "alad"; ``trace`` holds the accepted objective
-    values, non-increasing by construction.
+    values, non-increasing by construction; ``n_bootstrap_used`` counts the
+    replicates fitted (draws without size variation are skipped).
     """
     r_t, r_lag, s_lag, country, year = panel.ar1_pairs()
     n = r_t.size
@@ -303,23 +315,16 @@ def fit_alad(
         raise ValueError(f"need at least 6 consecutive-year pairs, got {n}")
     if float(np.std(s_lag)) < 1e-12:
         raise ValueError("all sizes are equal; beta is unidentified")
-    estimate = _fit_alad_arrays(
-        r_t, r_lag, s_lag, tol=tol, max_alternations=max_alternations,
-        tail_weights=tail_weights, polish=True,
-    )
-    alpha, phi1, beta, trace = estimate
+    alpha, phi1, beta, trace = _fit_alad_arrays(r_t, r_lag, s_lag, tail_weights)
 
     se_alpha = se_phi1 = se_beta = None
     significant = None
-    if bootstrap > 0:
-        draws = _bootstrap_alad(
-            r_t, r_lag, s_lag, country, year, bootstrap, seed,
-            tail_weights=tail_weights,
-        )
-        if draws is not None:
-            spread = np.std(draws, axis=0, ddof=1)
-            se_alpha, se_phi1, se_beta = (float(v) for v in spread)
-            significant = bool(abs(beta) / se_beta > 1.959963984540054) if se_beta > 0 else True
+    draws = _bootstrap_alad(r_t, r_lag, s_lag, country, year, bootstrap, seed,
+                            tail_weights=tail_weights)
+    if len(draws) >= max(10, bootstrap // 2):
+        se_alpha, se_phi1, se_beta = (float(v) for v in np.std(draws, axis=0, ddof=1))
+        significant = (bool(abs(beta) / se_beta > _two_sided_critical(0.05))
+                       if se_beta > 0 else True)
 
     return ScalingFit(
         method="alad",
@@ -331,17 +336,14 @@ def fit_alad(
         significant_5pct=significant,
         phi1=float(phi1),
         se_phi1=se_phi1,
+        n_bootstrap_requested=int(bootstrap),
+        n_bootstrap_used=len(draws),
         trace=trace,
     )
 
 
-def _fit_alad_arrays(r_t, r_lag, s_lag, *, tol, max_alternations, tail_weights,
-                     polish):
-    """Core ALAD optimizer on raw arrays; returns (alpha, phi1, beta, trace).
-
-    ``polish`` runs the final three-parameter simplex after the alternation;
-    point fits use it, bootstrap replicates do not (see ``_bootstrap_alad``).
-    """
+def _fit_alad_arrays(r_t, r_lag, s_lag, tail_weights):
+    """Core ALAD optimizer on raw arrays; returns (alpha, phi1, beta, trace)."""
     w_left, w_right = tail_weights
     if w_left <= 0.0 or w_right <= 0.0:
         raise ValueError(f"tail weights must be positive, got {tail_weights!r}")
@@ -350,17 +352,14 @@ def _fit_alad_arrays(r_t, r_lag, s_lag, *, tol, max_alternations, tail_weights,
     def objective(alpha, phi1, beta):
         return _alad_loss(r_t, r_lag, s_lag, alpha, phi1, beta, tail_weights)
 
-    alpha, phi1 = _irls_location(
-        r_t, r_lag, np.ones_like(r_t), tail_weights, (float(np.median(r_t)), 0.0)
-    )
-    beta = 0.0
+    alpha, phi1, beta = float(np.median(r_t)), 0.0, 0.0
     best = objective(alpha, phi1, beta)
     trace = [best]
 
-    for _ in range(max_alternations):
+    for _ in range(_MAX_ALTERNATIONS):
         previous = best
         weights = np.exp(-beta * s_lag)
-        a_new, p_new = _irls_location(r_t, r_lag, weights, tail_weights, (alpha, phi1))
+        a_new, p_new = _exact_location(r_t, r_lag, weights, tail_weights, (alpha, phi1))
         candidate = objective(a_new, p_new, beta)
         if candidate < best:
             alpha, phi1, best = a_new, p_new, candidate
@@ -377,24 +376,12 @@ def _fit_alad_arrays(r_t, r_lag, s_lag, *, tol, max_alternations, tail_weights,
             beta, best = float(result.x), candidate
 
         trace.append(best)
-        if previous - best < tol * (1.0 + abs(best)):
+        if previous - best < _ALTERNATION_TOL * (1.0 + abs(best)):
             break
-
-    if polish:
-        simplex = minimize(
-            lambda v: objective(*v), np.array([alpha, phi1, beta]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000, "maxfev": 4000},
-        )
-        candidate = float(simplex.fun)
-        if candidate < best:
-            alpha, phi1, beta = (float(v) for v in simplex.x)
-            best = candidate
-            trace.append(best)
 
     # Exact location step: the weighted quantile minimizes the loss in alpha
     # outright, guaranteeing first-order optimality of the median fit.
-    alpha_exact = _weighted_quantile(
+    alpha_exact, _ = _weighted_quantile(
         r_t - phi1 * r_lag, np.exp(-beta * s_lag), below_fraction
     )
     candidate = objective(alpha_exact, phi1, beta)
@@ -413,11 +400,12 @@ def _seed_entropy(seed) -> list[int]:
 
 def _bootstrap_alad(r_t, r_lag, s_lag, country, year, n_replicates, seed, *,
                     tail_weights):
-    """Country-resampled replicate estimates; None if too few succeed.
+    """Country-resampled replicate estimates, one (alpha, phi1, beta) row each.
 
-    Each replicate is fitted from a cold start by the alternation and the
-    exact alpha step, without the point fit's simplex polish (see the module
-    docstring for its measured effect on the errors).
+    Each replicate is fitted from a cold start by ``_fit_alad_arrays``, as
+    the point fit is.  A draw without size variation leaves beta
+    unidentified and is skipped, so there can be fewer rows than
+    ``n_replicates``.
 
     Sizes are reconstructed within each pseudo-panel: resampling countries
     changes every year's cross-sectional mean log level, and sizes are
@@ -437,14 +425,10 @@ def _bootstrap_alad(r_t, r_lag, s_lag, country, year, n_replicates, seed, *,
             continue  # no size variation drawn; beta unidentified this round
         sizes = demean_by_group(year[idx], s_lag[idx])
         # Each replicate starts cold, as the point fit does.  Warm starting
-        # at the point estimate is faster but biases the SEs downward: on the
-        # 40 synthetic windows of the module docstring, 39 warm/cold se_beta
-        # ratios were at most 1.00003, with mean 0.9984.
-        alpha, phi1, beta, _ = _fit_alad_arrays(
-            r_t[idx], r_lag[idx], sizes,
-            tol=1e-7, max_alternations=60, tail_weights=tail_weights, polish=False,
-        )
+        # at the point estimate is faster but biases the errors downward:
+        # over 40 synthetic 10-year windows (SynthSpec(beta=-0.2), seeds
+        # 100-107), 39 warm/cold se_beta ratios were at most 1.00003, with
+        # mean 0.9984.
+        alpha, phi1, beta, _ = _fit_alad_arrays(r_t[idx], r_lag[idx], sizes, tail_weights)
         draws.append((alpha, phi1, beta))
-    if len(draws) < max(10, n_replicates // 2):
-        return None
-    return np.asarray(draws)
+    return np.reshape(draws, (-1, 3))

@@ -8,8 +8,10 @@ with eps i.i.d. from an AEP (or Laplace) shock law with mode 0.  Each
 country's growth path starts at the stationary mean alpha / (1 - phi1), log
 GDP per capita integrates the growth rates starting from a per-country size
 offset, and s is the realized demeaned log level, so volatility feeds back
-into size exactly as in the estimated model.  A fixed-size mode holds s at
-the initial offsets during generation for textbook consistency checks.
+into size exactly as in the estimated model, except that s enters the
+volatility link clipped to [-8, 8] so that the feedback cannot run away.  A
+fixed-size mode holds s at the initial offsets during generation for
+textbook consistency checks.
 
 A burn-in prefix is generated and discarded so the retained years start from
 the process's stationary regime, not from the artificial initial condition.
@@ -35,6 +37,14 @@ from growthvol.panel import (
     PanelObservation,
     build_growth_panel,
 )
+
+
+# Sizes enter the volatility link bounded to [-_SIZE_BOUND, _SIZE_BOUND].  For
+# beta < 0 a shrinking country otherwise draws ever larger shocks, and the
+# feedback can run away until a level overflows: 1 panel in 10 at 150 x 100
+# and beta -0.3 did.  Panels whose sizes stay inside the bound are unchanged
+# by it, the default 31 x 50 ones among them.
+_SIZE_BOUND = 8.0
 
 
 def _default_shock() -> AepParams:
@@ -108,7 +118,9 @@ def generate(spec: SynthSpec) -> GrowthPanel:
     kept_levels = np.empty((n, spec.n_years + 1))
     kept_from = spec.burn_in  # index of the first retained step
     for t in range(steps):
-        scale = np.exp(spec.beta * (fixed_size if spec.fixed_sizes else size))
+        link_size = np.clip(fixed_size if spec.fixed_sizes else size,
+                            -_SIZE_BOUND, _SIZE_BOUND)
+        scale = np.exp(spec.beta * link_size)
         growth = spec.alpha + spec.phi1 * growth + scale * shocks[:, t]
         log_level = log_level + growth
         size = log_level - log_level.mean()

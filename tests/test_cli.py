@@ -161,11 +161,14 @@ def test_scale_schemas_and_both_methods(isolated_cwd):
 
     alad = _load_json("scaled/scale_alad_all.json")
     assert set(alad) == {"config", "method", "beta", "se_beta",
-                         "alpha_or_gamma", "phi1", "n", "significant_5pct",
-                         "bins"}
+                         "alpha_or_gamma", "se_alpha_or_gamma", "phi1", "se_phi1",
+                         "n", "significant_5pct", "n_bootstrap_requested",
+                         "n_bootstrap_used", "bins"}
     assert alad["method"] == "alad"
     assert alad["bins"] is None
     assert alad["beta"] < 0.0 and alad["significant_5pct"] is True
+    assert alad["se_phi1"] > 0.0 and alad["se_alpha_or_gamma"] > 0.0
+    assert alad["n_bootstrap_requested"] == 40 and alad["n_bootstrap_used"] == 40
 
     binned = _load_json("scaled/scale_binned_all.json")
     assert binned["method"] == "binned"

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 from scipy.special import ndtri, stdtr
 from scipy.stats import norm
 from scipy.stats import t as student_t
 
-from growthvol.panel import stratify
+from growthvol.panel import PanelObservation, build_growth_panel, stratify
 from growthvol.scaling import (
-    _irls_location,
+    _exact_location,
     alad_objective,
     bin_stats_csv,
     binned_beta,
@@ -163,9 +167,12 @@ def test_alad_asymmetric_kernel_shifts_location(hetero_panel):
 def test_json_layout(hetero_panel):
     fit, bins = binned_beta(hetero_panel)
     d = fit.to_json_dict(bins)
-    assert set(d) == {"method", "beta", "se_beta", "alpha_or_gamma", "phi1", "n",
-                      "significant_5pct", "bins"}
-    assert d["phi1"] is None
+    assert set(d) == {"method", "beta", "se_beta", "alpha_or_gamma",
+                      "se_alpha_or_gamma", "phi1", "se_phi1", "n", "significant_5pct",
+                      "n_bootstrap_requested", "n_bootstrap_used", "bins"}
+    assert d["phi1"] is None and d["se_phi1"] is None
+    assert d["se_alpha_or_gamma"] == fit.se_gamma_or_alpha
+    assert d["n_bootstrap_requested"] is None and d["n_bootstrap_used"] is None
     assert len(d["bins"]) == 15
     assert set(d["bins"][0]) == {"bin", "mean_size", "sigma", "count"}
 
@@ -174,14 +181,92 @@ def test_json_layout(hetero_panel):
     assert ad["method"] == "alad"
     assert ad["bins"] is None
     assert ad["phi1"] == afit.phi1
+    assert ad["se_phi1"] is None
+    assert (ad["n_bootstrap_requested"], ad["n_bootstrap_used"]) == (0, 0)
 
 
-# ------------------------------------------------- ALAD optimizer speed-ups
+def test_alad_counts_skipped_replicates():
+    # A's log level is the mean of B's and C's plus a constant, so its size
+    # never moves: a draw of A alone has no size variation and is skipped.
+    rng = np.random.default_rng(0)
+    b = np.cumsum(rng.normal(0.02, 0.05, size=31))
+    c = np.cumsum(rng.normal(0.02, 0.05, size=31)) + 1.0
+    paths = {"A": (b + c) / 2.0 + 0.5, "B": b, "C": c}
+    panel = build_growth_panel([PanelObservation(name, 1950 + t, float(np.exp(level)))
+                                for name, path in paths.items()
+                                for t, level in enumerate(path)])
+    fit = fit_alad(panel, bootstrap=60, seed=0)
+    assert fit.n_bootstrap_requested == 60
+    assert 30 <= fit.n_bootstrap_used < 60
+    assert fit.se_beta > 0.0
+
+
+# ------------------------------------------------------ ALAD location step
+
+
+def _check_loss(y, x, weights, tail_weights, a, b):
+    w_left, w_right = tail_weights
+    residuals = y - a - b * x
+    return float(np.sum(weights * np.where(residuals >= 0.0, w_right, w_left)
+                        * np.abs(residuals)))
+
+
+def _linprog_location(y, x, weights, tail_weights):
+    """The same weighted check-loss regression solved as a linear program."""
+    n = y.size
+    w_left, w_right = tail_weights
+    cost = np.concatenate([[0.0, 0.0], weights * w_right, weights * w_left])
+    identity = sparse.identity(n, format="csr")
+    equality = sparse.hstack([np.ones((n, 1)), x[:, None], identity, -identity],
+                             format="csr")
+    result = linprog(cost, A_eq=equality, b_eq=y, method="highs",
+                     bounds=[(None, None)] * 2 + [(0.0, None)] * (2 * n))
+    assert result.status == 0
+    return float(result.x[0]), float(result.x[1])
+
+
+def _assert_location_matches_linprog(y, x, weights, tail_weights, start):
+    # The LP's own objective value is only good to about 1e-9, so both are
+    # recomputed from the (a, b) each solver returns.  Its (a, b) can itself
+    # sit a few ulps off the optimum when the weights span many decades, so
+    # the exact solver may come out lower.  Two solvers reaching one line by
+    # different arithmetic also differ by the rounding of the residuals,
+    # which on a few points with a small loss exceeds 1e-12 of the loss.
+    exact = _check_loss(y, x, weights, tail_weights,
+                        *_exact_location(y, x, weights, tail_weights, start))
+    reference = _check_loss(y, x, weights, tail_weights,
+                            *_linprog_location(y, x, weights, tail_weights))
+    rounding = 1e-14 * max(tail_weights) * float(np.sum(weights * np.abs(y)))
+    assert exact <= reference * (1.0 + 1e-12) + rounding
+
+
+_tail_weights = st.one_of(
+    st.floats(0.1, 10.0).map(lambda w: (w, w)),
+    st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 300), seed=st.integers(0, 2**32 - 1),
+       tail_weights=_tail_weights, duplicated_x=st.booleans(), data=st.data())
+def test_exact_location_matches_linprog(n, seed, tail_weights, duplicated_x, data):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n) * 0.05
+    if duplicated_x:
+        x = np.round(x, 2)  # a few dozen distinct values, most of them repeated
+    y = 0.02 + 0.3 * x + rng.laplace(size=n) * 0.03
+    weights = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)))
+    # The optimum under equal weights is a vertex that stays optimal along
+    # some of its edges, as a warm start in the ALAD alternation does; an early
+    # stop would hand it back unimproved.
+    start = data.draw(st.sampled_from([(float(np.median(y)), 0.0), (0.1, -2.0),
+                                       _linprog_location(y, x, np.ones(n), tail_weights)]))
+    _assert_location_matches_linprog(y, x, weights, tail_weights, start)
 
 
 def _irls_location_reference(y, x, weights, tail_weights, start, iterations=60,
                              tol=1e-12):
-    """The IRLS step as first written, before its loop invariants were hoisted."""
+    """The IRLS step the exact location step replaced, as first written."""
     a, b = start
     w_left, w_right = tail_weights
     floor = 1e-10 * (np.std(y) + 1e-12)
@@ -208,46 +293,47 @@ def _irls_location_reference(y, x, weights, tail_weights, start, iterations=60,
 @pytest.mark.parametrize("tail_weights", [(1.0, 1.0), (1.0, 3.0), (2.0, 2.0), (0.5, 0.7)])
 @pytest.mark.parametrize("n", [40, 279, 3038])
 def test_irls_location_matches_reference_exactly(tail_weights, n):
+    # The cases that pinned the IRLS location step: the exact step reaches
+    # the linear program's optimum on them, and no IRLS result, run to its
+    # stop or cut off after 3 iterations, has a lower loss.
     rng = np.random.default_rng([n, int(10 * tail_weights[1])])
     for _ in range(12):
         x = rng.normal(size=n) * 0.05
         y = 0.02 + 0.3 * x + rng.laplace(size=n) * 0.03
         weights = np.exp(-rng.normal() * rng.normal(size=n))
         start = (float(np.median(y)), 0.0)
-        expected = _irls_location_reference(y, x, weights, tail_weights, start)
-        assert _irls_location(y, x, weights, tail_weights, start) == expected
-        # A few iterations only, stopping mid-descent.
-        expected = _irls_location_reference(y, x, weights, tail_weights, start,
-                                            iterations=3)
-        assert _irls_location(y, x, weights, tail_weights, start,
-                              iterations=3) == expected
+        exact = _check_loss(y, x, weights, tail_weights,
+                            *_exact_location(y, x, weights, tail_weights, start))
+        rounding = 1e-14 * max(tail_weights) * float(np.sum(weights * np.abs(y)))
+        for iterations in (60, 3):
+            irls = _check_loss(y, x, weights, tail_weights,
+                               *_irls_location_reference(y, x, weights, tail_weights,
+                                                         start, iterations=iterations))
+            assert exact <= irls * (1.0 + 1e-12) + rounding
+        _assert_location_matches_linprog(y, x, weights, tail_weights, start)
 
 
-@pytest.mark.parametrize("tail_weights", [(1.0, 1.0), (1.0, 3.0), (2.0, 2.0)])
-def test_irls_location_edge_cases_match_reference(tail_weights):
+@pytest.mark.parametrize("tail_weights", [(1.0, 1.0), (1.0, 3.0), (2.0, 2.0), (0.5, 0.7)])
+def test_exact_location_edge_cases(tail_weights):
     rng = np.random.default_rng(5)
     n = 200
     x = rng.normal(size=n)
     weights = rng.uniform(0.5, 2.0, size=n)
-    # Residuals exactly at zero, so the floor sets their weight: half the
-    # points lie on the starting line.
-    y = 0.1 + 0.5 * x
-    y[::2] += rng.laplace(size=n // 2) * 0.2
-    cases = [(y, x, (0.1, 0.5))]
-    # Every residual at zero.
-    cases.append((0.1 + 0.5 * x, x, (0.1, 0.5)))
-    # A constant lag regressor: det vanishes and the start comes back.
-    cases.append((rng.laplace(size=n), np.full(n, 0.3), (0.0, 0.0)))
-    for y_case, x_case, start in cases:
-        expected = _irls_location_reference(y_case, x_case, weights, tail_weights, start)
-        assert _irls_location(y_case, x_case, weights, tail_weights, start) == expected
-    assert _irls_location(cases[-1][0], cases[-1][1], weights, tail_weights,
-                          (0.0, 0.0)) == (0.0, 0.0)
+    # Every residual at zero: the line through all the points is found.
+    a, b = _exact_location(0.1 + 0.5 * x, x, weights, tail_weights, (0.0, 0.0))
+    assert a == pytest.approx(0.1, abs=1e-15) and b == pytest.approx(0.5, abs=1e-15)
+    # A constant regressor leaves the slope unidentified: the start comes back.
+    assert _exact_location(rng.laplace(size=n), np.full(n, 0.3), weights,
+                           tail_weights, (0.0, 0.0)) == (0.0, 0.0)
+    # Every x value four times over.
+    x = np.repeat(rng.normal(size=n // 4), 4)
+    y = 0.1 + 0.5 * x + rng.laplace(size=n) * 0.2
+    _assert_location_matches_linprog(y, x, weights, tail_weights, (0.0, 0.0))
 
 
 def test_alad_bootstrap_leaves_point_fit_untouched(hetero_panel):
-    # Replicates fit without the simplex polish; the point fit keeps it, so
-    # the estimates and the trace do not depend on whether errors are asked for.
+    # Replicates are separate fits of resampled panels, so the estimates and
+    # the trace do not depend on whether errors are asked for.
     point = fit_alad(hetero_panel, bootstrap=0)
     with_errors = fit_alad(hetero_panel, bootstrap=20)
     assert point.gamma_or_alpha == with_errors.gamma_or_alpha
@@ -258,8 +344,9 @@ def test_alad_bootstrap_leaves_point_fit_untouched(hetero_panel):
 
 
 def test_alad_unpolished_replicates_keep_the_standard_error(toy_panel):
-    # Polished replicates gave se_beta 0.014403427443372937 on the bundled
-    # panel's late half; replicates without the polish must stay within 1%.
+    # Replicates that ended in a three-parameter simplex polish gave se_beta
+    # 0.014403427443372937 on the bundled panel's late half; replicates fitted
+    # by the alternation with its exact location step must stay within 1%.
     late = stratify(toy_panel, year_range=(1950, 1999))
     fit = fit_alad(late, bootstrap=200, seed=0)
     assert fit.se_beta == pytest.approx(0.014403427443372937, rel=0.01)

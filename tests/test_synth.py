@@ -101,3 +101,13 @@ def test_invalid_specs_rejected():
 def test_balanced_metadata():
     panel = generate(SynthSpec(n_countries=4, n_years=10, seed=2))
     assert all(m.balanced_member for m in panel.meta.values())
+
+
+@pytest.mark.parametrize("seed", [17, 10001])
+def test_negative_beta_panels_stay_finite(seed):
+    # With sizes unbounded in the volatility link, a shrinking country drew
+    # ever larger shocks in these specs until its level overflowed.
+    panel = generate(SynthSpec(n_countries=150, n_years=100, beta=-0.3, seed=seed))
+    _, _, growth, size = panel.growth_arrays()
+    assert np.all(np.isfinite(panel.gdppc)) and np.all(panel.gdppc > 0.0)
+    assert np.all(np.isfinite(growth)) and np.all(np.isfinite(size))

@@ -268,27 +268,27 @@ def _profile_mode(z_sorted):
     return best
 
 
-def _refine(z_sorted, theta0, options=_REFINE_OPTIONS, restarts=True):
+def _refine(z_sorted, theta0):
     """Joint Nelder-Mead from theta0 and shape-perturbed restarts."""
     starts = [np.asarray(theta0, dtype=float)]
-    if restarts:
-        for index, log_shape in ((0, np.log(0.7)), (0, np.log(1.5)),
-                                 (1, np.log(0.7)), (1, np.log(1.5))):
-            start = starts[0].copy()
-            start[index] = log_shape
-            starts.append(start)
+    for index, log_shape in ((0, np.log(0.7)), (0, np.log(1.5)),
+                             (1, np.log(0.7)), (1, np.log(1.5))):
+        start = starts[0].copy()
+        start[index] = log_shape
+        starts.append(start)
     best_fun, best_x, best_success = np.inf, starts[0], False
     for start in starts:
-        value, x, success = _nelder_mead(_negll, start, (z_sorted,), **options)
+        value, x, success = _nelder_mead(_negll, start, (z_sorted,), **_REFINE_OPTIONS)
         if value < best_fun:
             best_fun, best_x, best_success = value, x, success
-    if restarts:
-        # A Nelder-Mead simplex can collapse just short of the optimum; one
-        # re-polish from the incumbent with a fresh simplex recovers the
-        # last few digits (and with them, equivariance under rescaling).
-        value, x, success = _nelder_mead(_negll, best_x, (z_sorted,), **options)
-        if value < best_fun:
-            best_fun, best_x, best_success = value, x, success
+    # A Nelder-Mead simplex can collapse short of the optimum; one re-polish
+    # from the incumbent with a fresh simplex recovers it.  ``_polish`` does
+    # not make this redundant: without the re-polish, 4 of 46 samples tried
+    # (criterion 2's n = 5000 seeds 5, 12 and 15, and one n = 1000 draw)
+    # ended 1.6e-4 to 0.024 lower in log-likelihood.
+    value, x, success = _nelder_mead(_negll, best_x, (z_sorted,), **_REFINE_OPTIONS)
+    if value < best_fun:
+        best_fun, best_x, best_success = value, x, success
     return best_fun, best_x, best_success, len(starts) - 1
 
 
@@ -334,13 +334,14 @@ _SMOOTH_BOUNDS = [(-_LOG_SHAPE_CAP, _LOG_SHAPE_CAP)] * 2 + [
     (-_LOG_SCALE_CAP, _LOG_SCALE_CAP)
 ] * 2
 _MODE_BRACKET = 1e-4  # in standardized units; well within one data spacing
+_POLISH_ROUNDS = 4
 
 
-def _polish(z_sorted, theta_hat, rounds=4):
+def _polish(z_sorted, theta_hat):
     """Coordinate polish of a Nelder-Mead optimum to near machine precision."""
     theta = np.asarray(theta_hat, dtype=float).copy()
     value = _negll(theta, z_sorted)
-    for _ in range(rounds):
+    for _ in range(_POLISH_ROUNDS):
         res = minimize(
             _negll_smooth, theta[:4], args=(theta[4], z_sorted),
             jac=True, method="L-BFGS-B", bounds=_SMOOTH_BOUNDS,
@@ -541,8 +542,8 @@ def _bootstrap_se(z_sorted, theta_hat, loc, scale, mirrored, n_replicates, seed)
     for rep in range(n_replicates):
         rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
         resampled = np.sort(rng.choice(z_sorted, size=z_sorted.size, replace=True))
-        _, theta_rep, success, _ = _refine(resampled, theta_hat,
-                                           options=_BOOTSTRAP_OPTIONS, restarts=False)
+        _, theta_rep, success = _nelder_mead(_negll, theta_hat, (resampled,),
+                                             **_BOOTSTRAP_OPTIONS)
         n_unconverged += not success
         no_spread &= np.abs(theta_rep) >= _CAPS - _CAP_TOL
         p = _to_natural(theta_rep, loc, scale, mirrored)

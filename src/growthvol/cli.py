@@ -3,13 +3,17 @@
 Each run resolves its arguments into a single configuration dict that is
 embedded verbatim in every artifact it writes (JSON under a ``config`` key,
 CSV as a leading comment line), so any output file identifies the exact
-invocation and seed that produced it.
+invocation and seed that produced it.  One writer, ``_write``, produces
+every artifact: a dict becomes JSON and a string is written as CSV text.
+Every CSV table comes from ``ingest.table_csv``, apart from a synthetic
+panel's levels, which ``panel_to_long_csv`` quotes as the csv module does.
 
-Strata requested via --region / --split are estimated independently, one
-after another; one stratum failing does not stop the others.  Failures are
-collected into ``errors.json`` and the process exits nonzero iff at least
-one stratum failed.  All files are written atomically (temp file in the
-target directory, then rename).
+fit, scale and roll share one stratum loop, ``_each_stratum``: it loads
+the panel, writes ``load_report.json``, and runs the command's per-stratum
+fit on each stratum requested via --region / --split, one after another.
+One stratum failing does not stop the others.  Failures are collected into
+``errors.json`` and the process exits nonzero iff at least one stratum (or,
+for synth, the spec) failed.
 
 --jobs is accepted, and recorded in each artifact's config, but has no
 effect: strata and rolling windows always run serially.  The fits are small
@@ -30,13 +34,14 @@ import sys
 import tempfile
 import zlib
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from growthvol.aep import AepParams, density
 from growthvol.aep_fit import fit_aep
-from growthvol.ingest import DatasetManifest, load_panel, panel_to_long_csv
+from growthvol.ingest import DatasetManifest, load_panel, panel_to_long_csv, table_csv
 from growthvol.panel import REGIONS, development_split, stratify
 from growthvol.rolling import roll, rolling_csv, significance_segments
 from growthvol.scaling import bin_stats_csv, binned_beta, fit_alad
@@ -48,7 +53,16 @@ _SPLITS = ("developed", "developing")
 # ------------------------------------------------------------------ plumbing
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _write(path: Path, config: dict, body) -> None:
+    """Write an artifact atomically: a dict as JSON, a string as CSV text.
+
+    Either way the run's config comes first.  The text goes to a temp file
+    in the target directory, which is then renamed over ``path``.
+    """
+    if isinstance(body, dict):
+        text = json.dumps({"config": config, **body}, indent=2, sort_keys=True) + "\n"
+    else:
+        text = f"# config: {json.dumps(config, sort_keys=True)}\n{body}"
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
@@ -58,19 +72,6 @@ def _atomic_write(path: Path, text: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def _config_json(config: dict) -> str:
-    return json.dumps(config, sort_keys=True)
-
-
-def _write_json(path: Path, config: dict, payload: dict) -> None:
-    document = {"config": config, **payload}
-    _atomic_write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path: Path, config: dict, body: str) -> None:
-    _atomic_write(path, f"# config: {_config_json(config)}\n{body}")
 
 
 def _parse_years(text: str) -> tuple[int, int]:
@@ -103,215 +104,156 @@ def _parse_shock(text: str) -> AepParams:
     )
 
 
-def _resolve_data_path(given: str) -> str:
-    path = Path(given)
-    root = os.environ.get("GROWTHVOL_DATA_DIR")
-    if root and not path.is_absolute():
-        return str(Path(root) / path)
-    return str(path)
-
-
 # -------------------------------------------------------------------- strata
 
 
-def _expand_strata(args) -> list[dict]:
+def _expand_strata(args) -> list[tuple]:
     """Cross the requested regions and development splits into strata.
 
-    Each stratum is {"label", "region", "development"}; with no filters the
-    single stratum "all" covers the whole panel.
+    Each stratum is (label, region, development); with no filters the single
+    stratum "all" covers the whole panel.
     """
     regions = []
     for name in args.region or []:
-        if name == "all":
-            regions.extend(REGIONS)
-        elif name in REGIONS:
-            regions.append(name)
-        else:
+        if name != "all" and name not in REGIONS:
             known = ", ".join(REGIONS)
             raise SystemExit(f"unknown region {name!r}; known regions: {known}, all")
-    splits = []
-    for name in args.split or []:
-        if name == "both":
-            splits.extend(_SPLITS)
-        else:
-            splits.append(name)
-
-    strata = []
-    for region in regions or [None]:
-        for split in splits or [None]:
-            label = "_".join(part for part in (region, split) if part) or "all"
-            strata.append({"label": label, "region": region, "development": split})
-    return strata
+        regions.extend(REGIONS if name == "all" else [name])
+    splits = [split for name in args.split or []
+              for split in (_SPLITS if name == "both" else [name])]
+    return [("_".join(part for part in (region, split) if part) or "all", region, split)
+            for region in regions or [None] for split in splits or [None]]
 
 
-def _run_strata(strata, worker):
-    """Run worker(stratum) for each stratum in order, collecting failures."""
-    failures = []
-    for stratum in strata:
-        try:
-            worker(stratum)
-        except Exception as exc:  # noqa: BLE001 - reported in the manifest
-            failures.append({"stratum": stratum["label"],
-                             "error": str(exc), "type": type(exc).__name__})
-    return failures
+def _failure(stratum: str, exc: Exception) -> dict:
+    return {"stratum": stratum, "error": str(exc), "type": type(exc).__name__}
 
 
 def _finish(out_dir: Path, config: dict, failures: list) -> int:
     if failures:
-        _write_json(out_dir / "errors.json", config, {"errors": failures})
+        _write(out_dir / "errors.json", config, {"errors": failures})
         for failure in failures:
             print(f"error [{failure['stratum']}]: {failure['error']}", file=sys.stderr)
         return 1
     return 0
 
 
-def _load(args, config: dict, out_dir: Path):
-    manifest = DatasetManifest(
-        data_path=_resolve_data_path(args.data),
+def _each_stratum(args, fit_stratum) -> int:
+    """Load the panel, then run fit_stratum(sub_panel, label, write) per stratum.
+
+    ``write(name, body)`` writes one artifact into --out through ``_write``.
+    The load report is written first; a stratum that raises is recorded and
+    the rest still run.  Returns the exit code from ``_finish``.
+    """
+    out_dir = Path(args.out)
+    config = _base_config(args)
+
+    def write(name, body):
+        _write(out_dir / name, config, body)
+
+    data = Path(args.data)
+    root = os.environ.get("GROWTHVOL_DATA_DIR")
+    if root and not data.is_absolute():
+        data = Path(root) / data
+    panel, report = load_panel(DatasetManifest(
+        data_path=str(data),
         region_map_path=args.region_map,
         year_min=args.years[0],
         year_max=args.years[1],
         panel_kind=args.panel,
-    )
-    panel, report = load_panel(manifest)
-    _write_json(out_dir / "load_report.json", config, report.to_json_dict())
-    return panel
-
-
-def _sub_panel(panel, stratum, developed):
-    development = stratum["development"]
-    return stratify(
-        panel,
-        region=stratum["region"],
-        development=development,
-        developed_countries=developed if development else None,
-    )
+    ))
+    write("load_report.json", report.to_json_dict())
+    developed = development_split(panel)[0]
+    failures = []
+    for label, region, development in _expand_strata(args):
+        try:
+            sub = stratify(panel, region=region, development=development,
+                           developed_countries=developed if development else None)
+            fit_stratum(sub, label, write)
+        except Exception as exc:  # noqa: BLE001 - reported in the manifest
+            failures.append(_failure(label, exc))
+    return _finish(out_dir, config, failures)
 
 
 # ------------------------------------------------------------------ commands
 
 
-def cmd_fit(args) -> int:
-    out_dir = Path(args.out)
-    config = _base_config(args)
-    panel = _load(args, config, out_dir)
-    developed = development_split(panel)[0]
-    strata = _expand_strata(args)
-    rows = {}
+_FIT_TABLE_HEADER = ["stratum", "n", "b_l", "se_b_l", "b_r", "se_b_r", "a_l", "se_a_l",
+                     "a_r", "se_a_r", "m", "se_m", "loglik", "converged"]
 
-    def worker(stratum):
-        sub = _sub_panel(panel, stratum, developed)
+
+def _fit_row(label: str, fit) -> list:
+    """One fit_table.csv row: each parameter followed by its error."""
+    se = fit.std_errors or {}
+    pairs = ((getattr(fit.params, name), se.get(name))
+             for name in ("b_l", "b_r", "a_l", "a_r", "m"))
+    return [label, fit.n, *chain.from_iterable(pairs), fit.loglik, fit.converged]
+
+
+def cmd_fit(args) -> int:
+    rows = []
+
+    def fit_stratum(sub, label, write):
         growth = sub.growth_arrays()[2]
         fit = fit_aep(growth, bootstrap_fallback=args.bootstrap, seed=args.seed)
-        label = stratum["label"]
-        _write_json(out_dir / f"fit_{label}.json", config, fit.to_json_dict())
-        _write_csv(out_dir / f"fit_hist_{label}.csv", config,
-                   _histogram_csv(growth))
-        _write_csv(out_dir / f"fit_curve_{label}.csv", config,
-                   _curve_csv(growth, fit.params))
-        rows[label] = fit
+        write(f"fit_{label}.json", fit.to_json_dict())
+        write(f"fit_hist_{label}.csv", _histogram_csv(growth))
+        write(f"fit_curve_{label}.csv", _curve_csv(growth, fit.params))
+        rows.append(_fit_row(label, fit))
+        # Rewritten after every stratum, so it always lists those that fitted.
+        write("fit_table.csv", table_csv(_FIT_TABLE_HEADER, rows))
 
-    failures = _run_strata(strata, worker)
-
-    lines = ["stratum,n,b_l,se_b_l,b_r,se_b_r,a_l,se_a_l,a_r,se_a_r,m,se_m,"
-             "loglik,converged"]
-    for stratum in strata:
-        label = stratum["label"]
-        if label not in rows:
-            continue
-        fit = rows[label]
-        se = fit.std_errors or {}
-        p = fit.params
-
-        def cell(value):
-            return "" if value is None else format(value, ".17g")
-
-        lines.append(
-            f"{label},{fit.n},{cell(p.b_l)},{cell(se.get('b_l'))},"
-            f"{cell(p.b_r)},{cell(se.get('b_r'))},{cell(p.a_l)},{cell(se.get('a_l'))},"
-            f"{cell(p.a_r)},{cell(se.get('a_r'))},{cell(p.m)},{cell(se.get('m'))},"
-            f"{cell(fit.loglik)},{str(fit.converged).lower()}"
-        )
-    if rows:
-        _write_csv(out_dir / "fit_table.csv", config, "\n".join(lines) + "\n")
-    return _finish(out_dir, config, failures)
+    return _each_stratum(args, fit_stratum)
 
 
 def _histogram_csv(values: np.ndarray, n_bins: int = 40) -> str:
     counts, edges = np.histogram(values, bins=n_bins)
-    width = np.diff(edges)
-    empirical = counts / (counts.sum() * width)
-    lines = ["bin_left,bin_right,count,empirical_density"]
-    for left, right, count, dens in zip(edges[:-1], edges[1:], counts, empirical):
-        lines.append(f"{left:.17g},{right:.17g},{count},{dens:.17g}")
-    return "\n".join(lines) + "\n"
+    empirical = counts / (counts.sum() * np.diff(edges))
+    return table_csv(["bin_left", "bin_right", "count", "empirical_density"],
+                     zip(edges[:-1], edges[1:], counts, empirical))
 
 
 def _curve_csv(values: np.ndarray, params: AepParams, n_points: int = 301) -> str:
     grid = np.linspace(values.min(), values.max(), n_points)
-    curve = density(grid, params)
-    lines = ["x,density"]
-    for x, y in zip(grid, curve):
-        lines.append(f"{x:.17g},{y:.17g}")
-    return "\n".join(lines) + "\n"
+    return table_csv(["x", "density"], zip(grid, density(grid, params)))
 
 
 def cmd_scale(args) -> int:
-    out_dir = Path(args.out)
-    config = _base_config(args)
-    panel = _load(args, config, out_dir)
-    developed = development_split(panel)[0]
-    strata = _expand_strata(args)
     methods = ("binned", "alad") if args.method == "both" else (args.method,)
 
-    def worker(stratum):
-        sub = _sub_panel(panel, stratum, developed)
-        label = stratum["label"]
+    def fit_stratum(sub, label, write):
         if "binned" in methods:
             fit, bins = binned_beta(sub, n_bins=args.bins)
-            _write_json(out_dir / f"scale_binned_{label}.json", config,
-                        fit.to_json_dict(bins=bins))
-            _write_csv(out_dir / f"scale_bins_{label}.csv", config,
-                       bin_stats_csv(bins))
+            write(f"scale_binned_{label}.json", fit.to_json_dict(bins=bins))
+            write(f"scale_bins_{label}.csv", bin_stats_csv(bins))
         if "alad" in methods:
             # The stratum's seed comes from its label, so a stratum gets the
             # same bootstrap draws alone as inside --region all.
             fit = fit_alad(sub, bootstrap=args.bootstrap,
                            seed=[args.seed, zlib.crc32(label.encode())])
-            _write_json(out_dir / f"scale_alad_{label}.json", config,
-                        fit.to_json_dict())
+            write(f"scale_alad_{label}.json", fit.to_json_dict())
 
-    failures = _run_strata(strata, worker)
-    return _finish(out_dir, config, failures)
+    return _each_stratum(args, fit_stratum)
 
 
 def cmd_roll(args) -> int:
-    out_dir = Path(args.out)
-    config = _base_config(args)
-    panel = _load(args, config, out_dir)
-    developed = development_split(panel)[0]
-    strata = _expand_strata(args)
-
-    def worker(stratum):
-        sub = _sub_panel(panel, stratum, developed)
-        label = stratum["label"]
+    def fit_stratum(sub, label, write):
         series = roll(
             sub, window_length=args.window, step=args.step,
             bootstrap=args.bootstrap, seed=[args.seed],
         )
-        _write_csv(out_dir / f"roll_{label}.csv", config, rolling_csv(series))
+        write(f"roll_{label}.csv", rolling_csv(series))
         segments = [
             {"start": start, "end": end, "significant": significant}
             for start, end, significant in significance_segments(series)
         ]
-        _write_json(out_dir / f"roll_segments_{label}.json", config, {
+        write(f"roll_segments_{label}.json", {
             "window_length": series.window_length,
             "step": series.step,
             "segments": segments,
         })
 
-    failures = _run_strata(strata, worker)
-    return _finish(out_dir, config, failures)
+    return _each_stratum(args, fit_stratum)
 
 
 def cmd_synth(args) -> int:
@@ -337,23 +279,17 @@ def cmd_synth(args) -> int:
     try:
         spec = SynthSpec(**fields)
     except (TypeError, ValueError) as exc:
-        print(f"error [spec]: {exc}", file=sys.stderr)
-        _write_json(out_dir / "errors.json", config, {
-            "errors": [{"stratum": "spec", "error": str(exc),
-                        "type": type(exc).__name__}],
-        })
-        return 1
+        return _finish(out_dir, config, [_failure("spec", exc)])
     panel = generate(spec)
-    _write_csv(out_dir / "synth_panel.csv", config, panel_to_long_csv(panel))
+    _write(out_dir / "synth_panel.csv", config, panel_to_long_csv(panel))
     # Synthetic country ids are unknown to the bundled region table, so emit
     # a companion map (round-robin over the taxonomy) that makes the panel
     # loadable: pass it back via --region-map.
-    map_lines = ["country,region"]
-    for i, country in enumerate(spec.country_ids()):
-        map_lines.append(f"{country},{REGIONS[i % len(REGIONS)]}")
-    _write_csv(out_dir / "synth_region_map.csv", config,
-               "\n".join(map_lines) + "\n")
-    _write_json(out_dir / "synth_spec.json", config, {
+    regions = [(country, REGIONS[i % len(REGIONS)])
+               for i, country in enumerate(spec.country_ids())]
+    _write(out_dir / "synth_region_map.csv", config,
+           table_csv(["country", "region"], regions))
+    _write(out_dir / "synth_spec.json", config, {
         "spec": {**asdict(spec), "size_profile": spec.size_profile.tolist()},
     })
     return 0
@@ -460,15 +396,7 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
-        print(f"error: {exc}", file=sys.stderr)
-        out = getattr(args, "out", None)
-        if out is not None:
-            config = _base_config(args)
-            _write_json(Path(out) / "errors.json", config, {
-                "errors": [{"stratum": "run", "error": str(exc),
-                            "type": type(exc).__name__}],
-            })
-        return 1
+        return _finish(Path(args.out), _base_config(args), [_failure("run", exc)])
 
 
 if __name__ == "__main__":

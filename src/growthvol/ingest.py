@@ -18,7 +18,8 @@ are dropped and reported.  A bundled region map assigns each country to one
 of six world regions; a custom map can be supplied instead.
 
 Long-format serialization writes levels with 17 significant digits, so a
-save/load round trip reproduces a panel bit for bit.
+save/load round trip reproduces a panel bit for bit.  ``table_csv`` writes
+every other generated CSV table with the same digits.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from growthvol.panel import (
     REGIONS,
@@ -400,6 +403,27 @@ def panel_to_long_csv(panel: GrowthPanel) -> str:
     for country, year, value in zip(panel.country, panel.year, panel.gdppc):
         writer.writerow([country, int(year), format(value, ".17g")])
     return out.getvalue()
+
+
+def table_csv(header, rows) -> str:
+    """CSV text of a header row and rows of plain cells.
+
+    Floats get 17 significant digits, so they read back exactly; None is an
+    empty cell, a bool is ``true`` or ``false``, and anything else is written
+    by ``str``.  Cells are not quoted: callers pass no text with commas.
+    """
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, (float, np.floating)):
+            return format(value, ".17g")
+        return str(value)
+
+    lines = [",".join(header)]
+    lines.extend(",".join(cell(value) for value in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def write_long_csv(panel: GrowthPanel, path) -> None:

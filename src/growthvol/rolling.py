@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 
+from growthvol.ingest import table_csv
 from growthvol.panel import GrowthPanel, stratify
 from growthvol.scaling import ScalingFit, _seed_entropy, _two_sided_critical, fit_alad
 
@@ -136,20 +137,14 @@ def rolling_csv(series: RollingSeries) -> str:
     Gap windows keep their identifying columns and pair count; estimate
     fields are left empty.
     """
-    lines = ["window_start,window_end,beta,se_beta,phi1,se_phi1,alpha,n,significant"]
-
-    def fmt(value):
-        return "" if value is None else format(value, ".17g")
-
+    rows = []
     for e in series.entries:
-        if e.fit is None:
-            lines.append(f"{e.start_year},{e.end_year},,,,,,{e.n_pairs},")
+        f = e.fit
+        if f is None:
+            rows.append([e.start_year, e.end_year, None, None, None, None, None,
+                         e.n_pairs, None])
         else:
-            f = e.fit
-            significant = "" if f.significant_5pct is None else str(f.significant_5pct).lower()
-            lines.append(
-                f"{e.start_year},{e.end_year},{fmt(f.beta)},{fmt(f.se_beta)},"
-                f"{fmt(f.phi1)},{fmt(f.se_phi1)},{fmt(f.gamma_or_alpha)},"
-                f"{f.n_obs},{significant}"
-            )
-    return "\n".join(lines) + "\n"
+            rows.append([e.start_year, e.end_year, f.beta, f.se_beta, f.phi1,
+                         f.se_phi1, f.gamma_or_alpha, f.n_obs, f.significant_5pct])
+    return table_csv(["window_start", "window_end", "beta", "se_beta", "phi1",
+                      "se_phi1", "alpha", "n", "significant"], rows)

@@ -40,6 +40,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtri, stdtr
 
+from growthvol.ingest import table_csv
 from growthvol.panel import GrowthPanel, demean_by_group
 
 _BETA_BOUNDS = (-5.0, 5.0)
@@ -106,10 +107,8 @@ class ScalingFit:
 
 
 def bin_stats_csv(bins: list[BinStat]) -> str:
-    lines = ["bin,mean_size,sigma,count"]
-    for b in bins:
-        lines.append(f"{b.bin_index},{b.mean_size:.17g},{b.sigma:.17g},{b.count}")
-    return "\n".join(lines) + "\n"
+    return table_csv(["bin", "mean_size", "sigma", "count"],
+                     [(b.bin_index, b.mean_size, b.sigma, b.count) for b in bins])
 
 
 def binned_beta_xy(
@@ -403,9 +402,9 @@ def _bootstrap_alad(r_t, r_lag, s_lag, country, year, n_replicates, seed, *,
     """Country-resampled replicate estimates, one (alpha, phi1, beta) row each.
 
     Each replicate is fitted from a cold start by ``_fit_alad_arrays``, as
-    the point fit is.  A draw without size variation leaves beta
-    unidentified and is skipped, so there can be fewer rows than
-    ``n_replicates``.
+    the point fit is.  A draw whose re-demeaned sizes do not vary, such as
+    one that repeats a single country, leaves beta unidentified and is
+    skipped, so there can be fewer rows than ``n_replicates``.
 
     Sizes are reconstructed within each pseudo-panel: resampling countries
     changes every year's cross-sectional mean log level, and sizes are
@@ -421,9 +420,9 @@ def _bootstrap_alad(r_t, r_lag, s_lag, country, year, n_replicates, seed, *,
         rng = np.random.default_rng(np.random.SeedSequence(entropy + [rep]))
         chosen = rng.choice(unique, size=unique.size, replace=True)
         idx = np.concatenate([rows_of[c] for c in chosen])
-        if float(np.std(s_lag[idx])) < 1e-12:
-            continue  # no size variation drawn; beta unidentified this round
         sizes = demean_by_group(year[idx], s_lag[idx])
+        if float(np.std(sizes)) < 1e-12:
+            continue  # no size variation drawn; beta unidentified this round
         # Each replicate starts cold, as the point fit does.  Warm starting
         # at the point estimate is faster but biases the errors downward:
         # over 40 synthetic 10-year windows (SynthSpec(beta=-0.2), seeds

@@ -216,8 +216,10 @@ def test_scale_partial_failure_keeps_good_strata(isolated_cwd):
 
 def test_scale_stratum_seed_does_not_depend_on_its_neighbours(isolated_cwd):
     # A region's bootstrap draws come from its label, not from its position
-    # in the requested list, so it reproduces when run on its own.
-    data, region_map = _synth(countries=12, years=20)
+    # in the requested list, so it reproduces when run on its own.  24
+    # countries put four in each region, enough to identify beta in most
+    # country-resampled replicates.
+    data, region_map = _synth(countries=24, years=20)
     inputs = ["scale", "--data", data, "--region-map", region_map,
               "--years", "1949:1969", "--method", "alad", "--bootstrap", "10",
               "--seed", "4"]

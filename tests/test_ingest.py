@@ -3,12 +3,15 @@
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growthvol import cli
+from growthvol.aep import AepParams, density
 from growthvol.ingest import (
     CENTURY_BALANCED_COUNTRIES,
     DatasetManifest,
@@ -18,10 +21,14 @@ from growthvol.ingest import (
     load_panel,
     panel_to_long_csv,
     read_observations,
+    table_csv,
     validate_region_map,
     write_long_csv,
 )
 from growthvol.panel import REGIONS
+from growthvol.rolling import RollingEntry, RollingSeries, rolling_csv
+from growthvol.scaling import BinStat, ScalingFit, bin_stats_csv
+from growthvol.synth import SynthSpec
 
 WIDE = """\
 # levels in constant dollars
@@ -322,3 +329,200 @@ def test_trailing_empty_cells_are_missing_not_ragged(tmp_path):
     path.write_text("year,France,Japan\n1950,5186,\n1951,,\n", encoding="utf-8")
     obs = read_observations(path)
     assert [(o.country_id, o.year) for o in obs] == [("France", 1950)]
+
+
+# ---------------------------------------------------------------- table_csv
+#
+# Every generated CSV table is written by table_csv.  The references below are
+# the per-artifact formatters it replaced, kept as they were, so each artifact
+# must come out exactly as before for every kind of cell: Python and numpy
+# floats (nan, infinities, -0.0, subnormals), ints, None and bools.
+
+_FIT_NAMES = ("b_l", "b_r", "a_l", "a_r", "m")
+
+
+def _cell_reference(value):
+    """A cell as the old formatters wrote its type."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(value).lower()
+    if isinstance(value, (float, np.floating)):
+        return format(value, ".17g")
+    return f"{value}"
+
+
+def _fit_table_reference(fits):
+    """fit_table.csv as cmd_fit built it, from (label, fit) pairs."""
+    lines = ["stratum,n,b_l,se_b_l,b_r,se_b_r,a_l,se_a_l,a_r,se_a_r,m,se_m,"
+             "loglik,converged"]
+    for label, fit in fits:
+        se = fit.std_errors or {}
+        p = fit.params
+
+        def cell(value):
+            return "" if value is None else format(value, ".17g")
+
+        lines.append(
+            f"{label},{fit.n},{cell(p.b_l)},{cell(se.get('b_l'))},"
+            f"{cell(p.b_r)},{cell(se.get('b_r'))},{cell(p.a_l)},{cell(se.get('a_l'))},"
+            f"{cell(p.a_r)},{cell(se.get('a_r'))},{cell(p.m)},{cell(se.get('m'))},"
+            f"{cell(fit.loglik)},{str(fit.converged).lower()}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _histogram_csv_reference(values, n_bins=40):
+    counts, edges = np.histogram(values, bins=n_bins)
+    width = np.diff(edges)
+    empirical = counts / (counts.sum() * width)
+    lines = ["bin_left,bin_right,count,empirical_density"]
+    for left, right, count, dens in zip(edges[:-1], edges[1:], counts, empirical):
+        lines.append(f"{left:.17g},{right:.17g},{count},{dens:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def _curve_csv_reference(values, params, n_points=301):
+    grid = np.linspace(values.min(), values.max(), n_points)
+    curve = density(grid, params)
+    lines = ["x,density"]
+    for x, y in zip(grid, curve):
+        lines.append(f"{x:.17g},{y:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def _bin_stats_csv_reference(bins):
+    lines = ["bin,mean_size,sigma,count"]
+    for b in bins:
+        lines.append(f"{b.bin_index},{b.mean_size:.17g},{b.sigma:.17g},{b.count}")
+    return "\n".join(lines) + "\n"
+
+
+def _rolling_csv_reference(series):
+    lines = ["window_start,window_end,beta,se_beta,phi1,se_phi1,alpha,n,significant"]
+
+    def fmt(value):
+        return "" if value is None else format(value, ".17g")
+
+    for e in series.entries:
+        if e.fit is None:
+            lines.append(f"{e.start_year},{e.end_year},,,,,,{e.n_pairs},")
+        else:
+            f = e.fit
+            significant = "" if f.significant_5pct is None else str(f.significant_5pct).lower()
+            lines.append(
+                f"{e.start_year},{e.end_year},{fmt(f.beta)},{fmt(f.se_beta)},"
+                f"{fmt(f.phi1)},{fmt(f.se_phi1)},{fmt(f.gamma_or_alpha)},"
+                f"{f.n_obs},{significant}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _region_map_reference(country_ids):
+    map_lines = ["country,region"]
+    for i, country in enumerate(country_ids):
+        map_lines.append(f"{country},{REGIONS[i % len(REGIONS)]}")
+    return "\n".join(map_lines) + "\n"
+
+
+_py_floats = st.floats(allow_subnormal=True)
+_floats = st.one_of(
+    _py_floats,
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+                     -2.5e-310, 0.1, 1e16, 1.7976931348623157e308]),
+    _py_floats.map(np.float64),
+    st.floats(width=32, allow_subnormal=True).map(np.float32),
+)
+_ints = st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64))
+_bools = st.one_of(st.booleans(), st.booleans().map(np.bool_))
+_words = st.text("abcXYZ019 _-.", min_size=1, max_size=10)
+_cells = st.one_of(st.none(), _floats, _ints, _bools, _words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.lists(_words, min_size=1, max_size=5),
+       rows=st.lists(st.lists(_cells, max_size=6), max_size=6))
+def test_table_csv_writes_cells_as_the_old_formatters(header, rows):
+    expected = [",".join(header)]
+    expected += [",".join(_cell_reference(value) for value in row) for row in rows]
+    assert table_csv(header, rows) == "\n".join(expected) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    _words, _ints, st.lists(_floats, min_size=5, max_size=5),
+    st.one_of(st.none(), st.lists(st.one_of(st.none(), _floats), min_size=5, max_size=5)),
+    _floats, _bools,
+), max_size=4))
+def test_fit_table_matches_reference(drawn):
+    fits = [
+        (label, SimpleNamespace(
+            params=SimpleNamespace(**dict(zip(_FIT_NAMES, values))),
+            std_errors=None if errors is None else dict(zip(_FIT_NAMES, errors)),
+            n=n, loglik=loglik, converged=converged))
+        for label, n, values, errors, loglik, converged in drawn
+    ]
+    written = table_csv(cli._FIT_TABLE_HEADER,
+                        [cli._fit_row(label, fit) for label, fit in fits])
+    assert written == _fit_table_reference(fits)
+
+
+_samples = st.lists(st.floats(-1e6, 1e6, allow_subnormal=True),
+                    min_size=1, max_size=120).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_samples,
+       params=st.builds(AepParams, st.floats(0.2, 5.0), st.floats(0.2, 5.0),
+                        st.floats(1e-3, 10.0), st.floats(1e-3, 10.0),
+                        st.floats(-1.0, 1.0)))
+def test_histogram_and_curve_match_reference(values, params):
+    try:
+        expected = _histogram_csv_reference(values)
+    except ValueError:  # no 40 distinct bin edges fit in the data's range
+        with pytest.raises(ValueError):
+            cli._histogram_csv(values)
+    else:
+        assert cli._histogram_csv(values) == expected
+    assert cli._curve_csv(values, params) == _curve_csv_reference(values, params)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_ints, _floats, _floats, _ints), max_size=6))
+def test_bin_stats_csv_matches_reference(drawn):
+    bins = [BinStat(*fields) for fields in drawn]
+    assert bin_stats_csv(bins) == _bin_stats_csv_reference(bins)
+
+
+_windows = st.lists(st.tuples(
+    _ints, _ints, _ints,
+    st.one_of(st.none(), st.tuples(
+        _floats, st.one_of(st.none(), _floats), st.one_of(st.none(), _floats),
+        st.one_of(st.none(), _floats), _floats, _ints, st.one_of(st.none(), _bools),
+    )),
+), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_windows)
+def test_rolling_csv_matches_reference(drawn):
+    entries = []
+    for start, end, n_pairs, fitted in drawn:
+        fit = None
+        if fitted is not None:
+            beta, se_beta, phi1, se_phi1, alpha, n_obs, significant = fitted
+            fit = ScalingFit(method="alad", beta=beta, gamma_or_alpha=alpha,
+                             se_beta=se_beta, se_gamma_or_alpha=None, n_obs=n_obs,
+                             significant_5pct=significant, phi1=phi1, se_phi1=se_phi1)
+        entries.append(RollingEntry(start, end, n_pairs, fit))
+    series = RollingSeries(window_length=10, step=1, entries=entries)
+    assert rolling_csv(series) == _rolling_csv_reference(series)
+
+
+def test_synth_region_map_matches_reference(tmp_path):
+    spec = SynthSpec(n_countries=13, n_years=5, seed=1)
+    out = tmp_path / "synth"
+    assert cli.main(["synth", "--countries", "13", "--n-years", "5", "--seed", "1",
+                     "--out", str(out)]) == 0
+    body = (out / "synth_region_map.csv").read_text(encoding="utf-8").split("\n", 1)[1]
+    assert body == _region_map_reference(spec.country_ids())

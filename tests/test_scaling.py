@@ -12,6 +12,7 @@ from scipy.stats import t as student_t
 
 from growthvol.panel import PanelObservation, build_growth_panel, stratify
 from growthvol.scaling import (
+    _bootstrap_alad,
     _exact_location,
     alad_objective,
     bin_stats_csv,
@@ -199,6 +200,19 @@ def test_alad_counts_skipped_replicates():
     assert fit.n_bootstrap_requested == 60
     assert 30 <= fit.n_bootstrap_used < 60
     assert fit.se_beta > 0.0
+
+
+def test_alad_replicates_of_two_countries_identify_beta():
+    # Re-demeaned by year, the sizes of a draw that repeats one country are
+    # all zero, so beta is unidentified there; such draws must be skipped
+    # rather than fitted to beta = 0.  In a two-country panel they are half
+    # of all draws.
+    panel = generate(SynthSpec(n_countries=2, n_years=20, beta=-0.3, seed=7))
+    r_t, r_lag, s_lag, country, year = panel.ar1_pairs()
+    draws = _bootstrap_alad(r_t, r_lag, s_lag, country, year, 200, 0,
+                            tail_weights=(1.0, 1.0))
+    assert 50 <= len(draws) < 150
+    assert not np.any(draws[:, 2] == 0.0)
 
 
 # ------------------------------------------------------ ALAD location step

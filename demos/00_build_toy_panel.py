@@ -19,7 +19,7 @@ import numpy as np
 
 from growthvol.aep import AepParams
 from growthvol.ingest import CENTURY_BALANCED_COUNTRIES, panel_to_long_csv
-from growthvol.panel import PanelObservation, build_growth_panel
+from growthvol.panel import build_growth_panel
 from growthvol.synth import SynthSpec, generate
 
 # ----------------------------------------------------------------------------
@@ -51,11 +51,8 @@ NAMES = sorted(CENTURY_BALANCED_COUNTRIES)
 def build_toy_panel():
     source = generate(TOY_SPEC)
     rename = dict(zip(sorted(source.countries), NAMES))
-    observations = [
-        PanelObservation(rename[c], int(y), float(g))
-        for c, y, g in zip(source.country, source.year, source.gdppc)
-    ]
-    return build_growth_panel(observations)
+    country = np.array([rename[c] for c in source.country.tolist()])
+    return build_growth_panel((country, source.year, source.gdppc))
 
 
 HEADER = (

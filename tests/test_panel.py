@@ -9,7 +9,6 @@ from growthvol.panel import (
     REGIONS,
     CountryMeta,
     GrowthPanel,
-    PanelObservation,
     build_growth_panel,
     demean_by_group,
     development_split,
@@ -18,7 +17,9 @@ from growthvol.panel import (
 
 
 def make_obs(rows):
-    return [PanelObservation(c, y, v) for c, y, v in rows]
+    """(country, year, gdppc) columns of (country, year, level) rows."""
+    country, year, gdppc = zip(*rows)
+    return np.array(country), np.array(year), np.array(gdppc, dtype=float)
 
 
 def test_sizes_are_demeaned_logs():
@@ -93,6 +94,36 @@ def test_single_year_rescaling_moves_growth_not_size():
 def test_duplicate_observation_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         build_growth_panel(make_obs([("A", 2000, 1.0), ("A", 2000, 2.0)]))
+
+
+def test_first_bad_row_in_country_year_order_is_named():
+    rows = [("B", 2000, -1.0), ("A", 2001, 0.0), ("A", 2000, float("nan"))]
+    with pytest.raises(ValueError, match="positive and finite: A 2000 has nan"):
+        build_growth_panel(make_obs(rows))
+    rows = [("B", 2000, 1.0), ("B", 2000, 1.0), ("A", 2001, 2.0), ("A", 2001, 3.0)]
+    with pytest.raises(ValueError, match="duplicate observation for A in 2001"):
+        build_growth_panel(make_obs(rows))
+
+
+def test_columns_must_be_1d_and_of_equal_length():
+    with pytest.raises(ValueError, match="equal length"):
+        build_growth_panel((["A", "B"], [2000, 2000], [1.0]))
+    with pytest.raises(ValueError, match="1-D"):
+        build_growth_panel((np.array([["A"]]), np.array([[2000]]), np.array([[1.0]])))
+    with pytest.raises(ValueError, match="no observations"):
+        build_growth_panel(([], [], []))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_build_growth_panel_ignores_row_order(data):
+    keys = data.draw(st.lists(st.tuples(st.sampled_from("ABC"), st.integers(1990, 1995)),
+                              min_size=1, max_size=18, unique=True))
+    levels = data.draw(st.lists(st.floats(1e-3, 1e6), min_size=len(keys),
+                                max_size=len(keys)))
+    rows = [(c, y, v) for (c, y), v in zip(keys, levels)]
+    shuffled = data.draw(st.permutations(rows))
+    assert build_growth_panel(make_obs(shuffled)) == build_growth_panel(make_obs(rows))
 
 
 def test_nonpositive_level_rejected():

@@ -88,14 +88,6 @@ def test_roll_is_deterministic(panel, series):
         assert a.fit.se_beta == b.fit.se_beta
 
 
-def test_jobs_do_not_change_results(panel, series):
-    threaded = roll(panel, window_length=10, bootstrap=16, seed=0, jobs=3)
-    assert threaded.window_starts() == series.window_starts()
-    for a, b in zip(threaded.entries, series.entries):
-        assert a.fit.beta == b.fit.beta
-        assert a.fit.se_beta == b.fit.se_beta
-
-
 def test_sparse_windows_become_gaps(panel):
     gappy = roll(panel, window_length=10, min_pairs=10_000, bootstrap=0)
     assert gappy.window_starts() == list(range(1950, 1961))

@@ -10,7 +10,7 @@ from scipy.special import ndtri, stdtr
 from scipy.stats import norm
 from scipy.stats import t as student_t
 
-from growthvol.panel import PanelObservation, build_growth_panel, stratify
+from growthvol.panel import build_growth_panel, stratify
 from growthvol.scaling import (
     _bootstrap_alad,
     _exact_location,
@@ -193,9 +193,9 @@ def test_alad_counts_skipped_replicates():
     b = np.cumsum(rng.normal(0.02, 0.05, size=31))
     c = np.cumsum(rng.normal(0.02, 0.05, size=31)) + 1.0
     paths = {"A": (b + c) / 2.0 + 0.5, "B": b, "C": c}
-    panel = build_growth_panel([PanelObservation(name, 1950 + t, float(np.exp(level)))
-                                for name, path in paths.items()
-                                for t, level in enumerate(path)])
+    panel = build_growth_panel((np.repeat(list(paths), 31),
+                                np.tile(np.arange(1950, 1981), 3),
+                                np.exp(np.concatenate(list(paths.values())))))
     fit = fit_alad(panel, bootstrap=60, seed=0)
     assert fit.n_bootstrap_requested == 60
     assert 30 <= fit.n_bootstrap_used < 60

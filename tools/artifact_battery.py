@@ -6,10 +6,11 @@ Usage:
 
 SRC is a source root holding the ``growthvol`` package (``src`` in a
 checkout).  Each invocation runs as ``python -m growthvol.cli`` with
-``PYTHONPATH=SRC``, inside OUT, into its own subdirectory; the bundled toy
-panel is first copied into OUT so that every path the artifacts record is
-the same whichever SRC ran.  The exit code of each invocation goes to
-``OUT/exit_codes.json``.
+``PYTHONPATH=SRC``, inside OUT, into its own subdirectory.  The inputs are
+first written into OUT, so that every path the artifacts record is the same
+whichever SRC ran: the bundled toy panel, its levels in the wide layout, and
+the toy panel with one row given twice.  The exit code of each invocation
+goes to ``OUT/exit_codes.json``.
 
 Two source trees produce the same artifacts when
 
@@ -23,6 +24,7 @@ two CPUs.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import shutil
@@ -31,6 +33,8 @@ import sys
 from pathlib import Path
 
 TOY = "toy_panel_31.csv"
+TOY_WIDE = "toy_panel_31_wide.csv"
+TOY_DUPLICATE = "toy_panel_31_duplicate.csv"
 SYNTH = ["--region-map", "synth_a/synth_region_map.csv", "--years", "1949:1969"]
 # (output directory, subcommand and its arguments; --out is added).  Order
 # matters: the synthetic-panel runs read what synth_a writes.
@@ -45,6 +49,8 @@ BATTERY = [
                       "--bootstrap", "10", "--seed", "4"]),
     ("scale_binned_split", ["scale", "--data", TOY, "--method", "binned",
                             "--split", "both", "--bins", "10"]),
+    ("scale_binned_wide", ["scale", "--data", TOY_WIDE, "--method", "binned",
+                           "--split", "both", "--bins", "10"]),
     ("roll_decades", ["roll", "--data", TOY, "--panel", "balanced", "--window", "10",
                       "--step", "10", "--bootstrap", "10", "--seed", "5"]),
     ("roll_split", ["roll", "--data", TOY, "--years", "1950:1999", "--split", "both",
@@ -62,12 +68,32 @@ BATTERY = [
                     "--region", "all", "--window", "12", "--step", "4",
                     "--bootstrap", "8", "--seed", "10"]),
     ("missing_data", ["fit", "--data", "no_such_file.csv", "--bootstrap", "0"]),
+    ("duplicate_row", ["fit", "--data", TOY_DUPLICATE, "--bootstrap", "0"]),
 ]
+
+
+def write_inputs(toy: Path, out: Path) -> None:
+    """Copy the toy panel into OUT and write its wide and duplicate-row variants."""
+    shutil.copyfile(toy, out / TOY)
+    with open(toy, newline="", encoding="utf-8") as handle:
+        rows = [row for row in csv.reader(handle) if not row[0].startswith("#")]
+    header, body = rows[0], rows[1:]
+    countries = sorted({country for country, _, _ in body})
+    years = sorted({int(year) for _, year, _ in body})
+    level = {(country, int(year)): value for country, year, value in body}
+    with open(out / TOY_WIDE, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["year", *countries])
+        for year in years:
+            writer.writerow([year, *(level.get((c, year), "") for c in countries)])
+    with open(out / TOY_DUPLICATE, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(
+            [header, *body[:50], body[40], *body[50:]])
 
 
 def run_battery(src: Path, out: Path) -> dict[str, int]:
     out.mkdir(parents=True)
-    shutil.copyfile(src / "growthvol" / "data" / TOY, out / TOY)
+    write_inputs(src / "growthvol" / "data" / TOY, out)
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     env.pop("GROWTHVOL_DATA_DIR", None)
     codes = {}

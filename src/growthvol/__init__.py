@@ -9,7 +9,6 @@ from growthvol.ingest import (
     panel_to_long_csv,
     read_observations,
     validate_region_map,
-    write_long_csv,
 )
 from growthvol.panel import (
     REGIONS,
@@ -28,7 +27,6 @@ from growthvol.rolling import (
 from growthvol.scaling import (
     BinStat,
     ScalingFit,
-    alad_objective,
     bin_stats_csv,
     binned_beta,
     binned_beta_xy,
@@ -49,7 +47,6 @@ __all__ = [
     "RollingSeries",
     "ScalingFit",
     "SynthSpec",
-    "alad_objective",
     "bin_stats_csv",
     "binned_beta",
     "binned_beta_xy",
@@ -73,5 +70,4 @@ __all__ = [
     "significance_segments",
     "stratify",
     "validate_region_map",
-    "write_long_csv",
 ]

@@ -19,7 +19,7 @@ probability proportional to its share of the normalization constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -56,9 +56,6 @@ class AepParams:
     def mirrored(self) -> "AepParams":
         """Parameters of -X when X follows this distribution."""
         return AepParams(self.b_r, self.b_l, self.a_r, self.a_l, -self.m)
-
-    def shifted(self, offset: float) -> "AepParams":
-        return replace(self, m=self.m + offset)
 
 
 def _log_side_mass(a: float, b: float) -> float:

@@ -81,8 +81,8 @@ def _parse_years(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"expected A:B with integer years, got {text!r}"
         ) from None
-    if first > last:
-        raise argparse.ArgumentTypeError(f"year range is backwards: {text!r}")
+    if first >= last:
+        raise argparse.ArgumentTypeError(f"first year must precede the last: {text!r}")
     return first, last
 
 
@@ -315,7 +315,7 @@ def _add_panel_arguments(sub):
     sub.add_argument("--region-map", default=None, dest="region_map",
                      help="country,region CSV (default: bundled table)")
     sub.add_argument("--years", type=_parse_years, default=(1900, 1999),
-                     metavar="A:B", help="year range, inclusive (default 1900:1999)")
+                     metavar="A:B", help="year range, inclusive, A < B (default 1900:1999)")
     sub.add_argument("--panel", choices=("balanced", "unbalanced"),
                      default="unbalanced",
                      help="keep only countries covering every year, or all")

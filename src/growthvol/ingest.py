@@ -7,11 +7,12 @@ Two on-disk layouts are accepted:
   distributed);
 * long CSV: header "country,year,gdppc", one observation per row.
 
-Levels must be positive and finite, a wide row must have exactly as many
-cells as the header, and no (country, year) may be given twice; a file
-breaking a rule is rejected at the first offence, naming its file and row
-(and, for a bad or repeated level, its column).  Both layouts are read in
-one pass into (country, year, gdppc) columns.
+Lines before the header that start with '#' are comments; after it, every
+non-empty line is data.  Levels must be positive and finite, a wide row
+must have exactly as many cells as the header, and no (country, year) may
+be given twice; a file breaking a rule is rejected at the first offence,
+naming its file and row (and, for a bad or repeated level, its column).
+Both layouts are read in one pass into (country, year, gdppc) columns.
 
 Country names are normalized through a bundled alias table covering common
 variant spellings ("Korea, Rep." vs "Republic of Korea" and the like); names
@@ -174,11 +175,13 @@ def canonical_name(name: str) -> str:
 
 
 def _data_rows(path):
-    """CSV rows with comment lines (leading '#') skipped, with line numbers."""
+    """Non-empty CSV rows with line numbers; '#' lines before the header are comments."""
+    in_preamble = True
     with open(path, newline="", encoding="utf-8") as handle:
         for line_no, row in enumerate(csv.reader(handle), start=1):
-            if not row or (row[0].lstrip().startswith("#")):
+            if not row or (in_preamble and row[0].lstrip().startswith("#")):
                 continue
+            in_preamble = False
             yield line_no, row
 
 
@@ -411,6 +414,3 @@ def table_csv(header, rows) -> str:
     lines.extend(",".join(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
-
-def write_long_csv(panel: GrowthPanel, path) -> None:
-    Path(path).write_text(panel_to_long_csv(panel), encoding="utf-8")

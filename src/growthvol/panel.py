@@ -12,12 +12,12 @@ two derived columns:
   measures relative position and is invariant to common growth of all
   countries.
 
-Panels can be stratified by region, by development status (above or below
-the median of country mean log GDP per capita), to the balanced subset, or
-to a year range.  Stratification keeps derived columns from the parent by
-default: a sub-panel's growth rates and sizes still refer to the full panel
-that produced them, which is what rolling-window estimation needs.  Sizes
-can optionally be recomputed relative to the sub-panel's own cross sections.
+Panels can be stratified by region, by development status (membership in
+a developed set, such as the upper half by ``development_split``), or to a
+year range.  Every filter is a row selection, and stratification keeps the
+derived columns of the parent: a sub-panel's growth rates and sizes still
+refer to the full panel that produced them, which is what rolling-window
+estimation needs.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ REGIONS = (
 @dataclass(frozen=True)
 class CountryMeta:
     country_id: str
-    name: str = ""
     region: str | None = None
     balanced_member: bool = False
 
@@ -207,10 +206,8 @@ def stratify(
     *,
     region: str | None = None,
     development: str | None = None,
-    balanced_only: bool = False,
-    year_range: tuple[int, int] | None = None,
-    recompute_sizes: bool = False,
     developed_countries=None,
+    year_range: tuple[int, int] | None = None,
 ) -> GrowthPanel:
     """Restrict a panel to a stratum.
 
@@ -219,25 +216,17 @@ def stratify(
     region : str, optional
         Keep countries whose metadata region matches (see REGIONS).
     development : {"developed", "developing"}, optional
-        Keep the upper or lower half of countries by mean log GDP per
-        capita (median split), or by membership in ``developed_countries``
-        when that override is given.
-    balanced_only : bool
-        Keep only countries flagged as balanced-panel members.
+        Keep the countries in ``developed_countries``, or the rest.
+    developed_countries : iterable of str
+        The developed set, required with ``development``; usually the first
+        set of ``development_split`` on the whole panel.
     year_range : (int, int), optional
         Keep rows with year in the closed range.  Growth rates computed by
         the parent panel are retained, so the first kept year keeps the
         growth rate into it; row filtering never recomputes growth.
-    recompute_sizes : bool
-        Re-demean sizes within the restricted panel's own year cross
-        sections.  Default False: sizes keep their parent-panel meaning.
-    developed_countries : iterable of str, optional
-        Explicit override for the developed set used by ``development``.
 
-    Region and year-range filters are row selections, so they commute with
-    each other.  The development median split depends on the rows it sees,
-    so its order relative to other filters matters; apply it last or pass
-    ``developed_countries`` for full control.
+    Every filter is a row selection, so the filters commute: stratifying by
+    one and then another gives the panel that both at once give.
     """
     keep = np.ones(panel.country.shape, dtype=bool)
     if region is not None:
@@ -245,21 +234,15 @@ def stratify(
             raise ValueError(f"unknown region {region!r}; expected one of {REGIONS}")
         members = {c for c, m in panel.meta.items() if m.region == region}
         keep &= np.isin(panel.country, sorted(members))
-    if balanced_only:
-        members = {c for c, m in panel.meta.items() if m.balanced_member}
-        keep &= np.isin(panel.country, sorted(members))
     if development is not None:
         if development not in ("developed", "developing"):
             raise ValueError(
                 f"development must be 'developed' or 'developing', got {development!r}"
             )
-        if developed_countries is not None:
-            developed = frozenset(developed_countries)
-            developing = frozenset(panel.countries) - developed
-        else:
-            developed, developing = development_split(panel)
-        chosen = developed if development == "developed" else developing
-        keep &= np.isin(panel.country, sorted(chosen))
+        if developed_countries is None:
+            raise ValueError("development needs developed_countries")
+        developed = np.isin(panel.country, sorted(developed_countries))
+        keep &= developed if development == "developed" else ~developed
     if year_range is not None:
         first, last = year_range
         if first > last:
@@ -270,13 +253,6 @@ def stratify(
         raise ValueError("stratification selects no observations")
 
     country = panel.country[keep]
-    year = panel.year[keep]
-    gdppc = panel.gdppc[keep]
-    growth = panel.growth[keep]
-    if recompute_sizes:
-        size = demean_by_group(year, np.log(gdppc))
-    else:
-        size = panel.size[keep]
     meta = {c: panel.meta[c] for c in set(country.tolist())}
-    return GrowthPanel(country=country, year=year, gdppc=gdppc, size=size,
-                       growth=growth, meta=meta)
+    return GrowthPanel(country=country, year=panel.year[keep], gdppc=panel.gdppc[keep],
+                       size=panel.size[keep], growth=panel.growth[keep], meta=meta)

@@ -9,6 +9,8 @@ silently skipped, so a series always has one entry per window position.
 Each window's estimate is exactly ``fit_alad`` applied to the stratified
 sub-panel with a seed derived from (series seed, window start); the driver
 adds no estimation logic, and a window can be reproduced in isolation.
+A window's significance is the fit's own 5% flag, ``significant_5pct``,
+which both the CSV table and the significance segments report.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from itertools import groupby
 
 from growthvol.ingest import table_csv
 from growthvol.panel import GrowthPanel, stratify
-from growthvol.scaling import ScalingFit, _seed_entropy, _two_sided_critical, fit_alad
+from growthvol.scaling import ScalingFit, _seed_entropy, fit_alad
+
+# Fewer consecutive-year pairs make a gap: eight per estimated parameter.
+_MIN_PAIRS = 24
 
 
 @dataclass
@@ -37,19 +42,14 @@ class RollingSeries:
     step: int
     entries: list[RollingEntry] = field(default_factory=list)
 
-    def window_starts(self) -> list[int]:
-        return [e.start_year for e in self.entries]
-
 
 def roll(
     panel: GrowthPanel,
     window_length: int = 10,
     step: int = 1,
     *,
-    min_pairs: int = 24,
     bootstrap: int = 200,
     seed=0,
-    tail_weights: tuple[float, float] = (1.0, 1.0),
 ) -> RollingSeries:
     """Estimate the ALAD model on every window of growth years.
 
@@ -58,16 +58,14 @@ def roll(
     panel : GrowthPanel
     window_length, step : int
         Window size in growth years and the distance between window starts.
-    min_pairs : int
-        Windows with fewer consecutive-year pairs become recorded gaps
-        (default 24: eight observations per estimated parameter).
-    bootstrap, tail_weights :
+    bootstrap : int
         Passed through to ``fit_alad``.
     seed : int or sequence of ints
         Window w uses the derived seed (seed, w), so any window can be
         recomputed independently of the others.
 
-    Windows are fitted serially, in order of start.
+    Windows are fitted serially, in order of start.  A window with fewer
+    than 24 consecutive-year pairs is a gap: its entry has no fit.
     """
     if window_length < 2:
         raise ValueError(f"window_length must be at least 2, got {window_length}")
@@ -88,37 +86,26 @@ def roll(
         sub = stratify(panel, year_range=(start, end))
         n_pairs = int(sub.ar1_pairs()[0].size)
         fit = None
-        if n_pairs >= min_pairs:
-            fit = fit_alad(
-                sub, bootstrap=bootstrap, seed=entropy + [start],
-                tail_weights=tail_weights,
-            )
+        if n_pairs >= _MIN_PAIRS:
+            fit = fit_alad(sub, bootstrap=bootstrap, seed=entropy + [start])
         entries.append(RollingEntry(start, end, n_pairs, fit))
     return RollingSeries(window_length=window_length, step=step, entries=entries)
 
 
-def significance_segments(
-    series: RollingSeries, level: float = 0.05
-) -> list[tuple[int, int, bool]]:
-    """Maximal runs of windows sharing beta's significance status.
+def significance_segments(series: RollingSeries) -> list[tuple[int, int, bool]]:
+    """Maximal runs of windows sharing beta's 5% significance flag.
 
     Returns (first window's start year, last window's end year, significant)
-    per run — the plot data behind regime shading.  Windows without a
-    usable fit (gaps, or fits without standard errors) break runs and
-    belong to none.
+    per run — the plot data behind regime shading.  A window's status is its
+    fit's ``significant_5pct``, the ``significant`` column of
+    ``rolling_csv``.  Windows without a usable fit (gaps, or fits without
+    standard errors) break runs and belong to none.
     """
     if not series.entries:
         raise ValueError("empty rolling series")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    critical = _two_sided_critical(level)
 
     def status(entry: RollingEntry):
-        if entry.fit is None or entry.fit.se_beta is None:
-            return None
-        if entry.fit.se_beta == 0.0:
-            return True
-        return bool(abs(entry.fit.beta) / entry.fit.se_beta > critical)
+        return None if entry.fit is None else entry.fit.significant_5pct
 
     segments = []
     for significant, run in groupby(series.entries, key=status):

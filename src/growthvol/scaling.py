@@ -2,10 +2,10 @@
 
 Two estimators of the scale relation ln(sigma) ~ beta * s:
 
-* binned_beta: sort growth observations by size into equal-occupancy bins,
-  regress each bin's log standard deviation on its mean size by OLS.
-  Transparent, but needs many observations and ignores the autoregressive
-  structure of growth rates.
+* binned_beta: sort growth observations by size into equal-occupancy bins
+  of at least 30 observations, regress each bin's log standard deviation on
+  its mean size by OLS.  Transparent, but needs many observations and
+  ignores the autoregressive structure of growth rates.
 
 * fit_alad: asymmetric least absolute deviation estimation of
 
@@ -29,7 +29,8 @@ Two estimators of the scale relation ln(sigma) ~ beta * s:
 Standard errors: classical OLS errors for the binned method (t-test with
 n_bins - 2 degrees of freedom); nonparametric bootstrap over whole countries
 for ALAD (within-country serial dependence survives resampling), normal
-approximation for the 5% flag.
+approximation for the 5% flag.  That flag, ``significant_5pct``, is the one
+significance rule: rolling windows report it as it is.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ from growthvol.ingest import table_csv
 from growthvol.panel import GrowthPanel, demean_by_group
 
 _BETA_BOUNDS = (-5.0, 5.0)
+_MIN_OCCUPANCY = 30  # fewest observations a size bin may hold
+# Normal critical value of the two-sided 5% test behind ``significant_5pct``.
+_CRITICAL_5PCT = float(ndtri(0.975))
 # The alternation ends once a round lowers the loss by less than this
 # fraction of (1 + loss), or after _MAX_ALTERNATIONS rounds.
 _ALTERNATION_TOL = 1e-8
@@ -111,15 +115,13 @@ def bin_stats_csv(bins: list[BinStat]) -> str:
                      [(b.bin_index, b.mean_size, b.sigma, b.count) for b in bins])
 
 
-def binned_beta_xy(
-    sizes, values, n_bins: int = 15, min_occupancy: int = 30
-) -> tuple[ScalingFit, list[BinStat]]:
+def binned_beta_xy(sizes, values, n_bins: int = 15) -> tuple[ScalingFit, list[BinStat]]:
     """Binned OLS of log dispersion on mean size, for raw arrays.
 
     Observations are sorted by size and split into ``n_bins`` groups of as
-    equal occupancy as possible; each group contributes (mean size, standard
-    deviation of values); ln sigma is regressed on mean size by OLS with
-    classical standard errors.
+    equal occupancy as possible, at least 30 each; each group contributes
+    (mean size, standard deviation of values); ln sigma is regressed on mean
+    size by OLS with classical standard errors.
     """
     sizes = np.asarray(sizes, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -128,11 +130,11 @@ def binned_beta_xy(
     if n_bins < 3:
         raise ValueError(f"need at least 3 bins for a slope and its error, got {n_bins}")
     smallest = sizes.size // n_bins
-    if smallest < min_occupancy:
-        max_bins = sizes.size // min_occupancy
+    if smallest < _MIN_OCCUPANCY:
+        max_bins = sizes.size // _MIN_OCCUPANCY
         raise ValueError(
             f"{sizes.size} observations cannot fill {n_bins} bins at minimum "
-            f"occupancy {min_occupancy}; use at most {max_bins} bins"
+            f"occupancy {_MIN_OCCUPANCY}; use at most {max_bins} bins"
         )
     order = np.argsort(sizes, kind="stable")
     bins = []
@@ -173,28 +175,22 @@ def binned_beta_xy(
     return fit, bins
 
 
-def binned_beta(
-    panel: GrowthPanel, n_bins: int = 15, min_occupancy: int = 30
-) -> tuple[ScalingFit, list[BinStat]]:
+def binned_beta(panel: GrowthPanel, n_bins: int = 15) -> tuple[ScalingFit, list[BinStat]]:
     """Binned OLS on a panel's (size, growth rate) observations."""
     _, _, growth, size = panel.growth_arrays()
-    return binned_beta_xy(size, growth, n_bins=n_bins, min_occupancy=min_occupancy)
+    return binned_beta_xy(size, growth, n_bins=n_bins)
 
 
-def rescale_residuals(panel: GrowthPanel, beta: float, center: str = "year"):
+def rescale_residuals(panel: GrowthPanel, beta: float):
     """Rescaled growth rates eps = (r - rbar) / exp(beta * s).
 
-    ``center`` picks the central tendency rbar: "year" (cross-sectional
-    mean of growth rates in the observation's year, removing common shocks)
-    or "country" (the country's own mean growth).
+    rbar is the cross-sectional mean of growth rates in the observation's
+    year, which removes common shocks.
     """
     if not np.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta!r}")
-    if center not in ("year", "country"):
-        raise ValueError(f"center must be 'year' or 'country', got {center!r}")
-    country, year, growth, size = panel.growth_arrays()
-    keys = year if center == "year" else country
-    return demean_by_group(keys, growth) / np.exp(beta * size)
+    _, year, growth, size = panel.growth_arrays()
+    return demean_by_group(year, growth) / np.exp(beta * size)
 
 
 def _rho(residuals, tail_weights):
@@ -207,13 +203,6 @@ def _alad_loss(r_t, r_lag, s_lag, alpha, phi1, beta, tail_weights) -> float:
     """The ALAD loss of the module docstring over arrays of AR(1) pairs."""
     residuals = r_t - alpha - phi1 * r_lag
     return float(np.sum(beta * s_lag + _rho(residuals, tail_weights) * np.exp(-beta * s_lag)))
-
-
-def alad_objective(panel: GrowthPanel, alpha, phi1, beta,
-                   tail_weights=(1.0, 1.0)) -> float:
-    """The ALAD loss at given parameters, for diagnostics and tests."""
-    r_t, r_lag, s_lag, _, _ = panel.ar1_pairs()
-    return _alad_loss(r_t, r_lag, s_lag, alpha, phi1, beta, tail_weights)
 
 
 def _weighted_quantile(values, weights, fraction):
@@ -270,11 +259,6 @@ def _exact_location(y, x, weights, tail_weights, start):
         a, b, best, j = intercept, slope, candidate, k
 
 
-def _two_sided_critical(level: float) -> float:
-    """Normal critical value of a two-sided test at ``level``."""
-    return float(ndtri(1.0 - level / 2.0))
-
-
 def fit_alad(
     panel: GrowthPanel,
     *,
@@ -322,8 +306,7 @@ def fit_alad(
                             tail_weights=tail_weights)
     if len(draws) >= max(10, bootstrap // 2):
         se_alpha, se_phi1, se_beta = (float(v) for v in np.std(draws, axis=0, ddof=1))
-        significant = (bool(abs(beta) / se_beta > _two_sided_critical(0.05))
-                       if se_beta > 0 else True)
+        significant = bool(abs(beta) / se_beta > _CRITICAL_5PCT) if se_beta > 0 else True
 
     return ScalingFit(
         method="alad",

@@ -5,16 +5,20 @@ working directory so embedded configs (which record paths as given) are
 comparable across runs.
 """
 
+import csv
 import importlib.resources
 import json
 import os
 import subprocess
 import sys
 import threading
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import growthvol
 from growthvol.cli import main
@@ -309,6 +313,31 @@ def test_roll_artifacts(isolated_cwd):
     assert set(first) == {"start", "end", "significant"}
 
 
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(countries=st.integers(3, 12), beta=st.sampled_from(["0", "-0.3"]),
+       window=st.integers(3, 10), step=st.integers(1, 3), seed=st.integers(0, 999))
+def test_roll_segments_are_the_runs_of_the_significant_column(
+        isolated_cwd, countries, beta, window, step, seed):
+    # Few countries make gap windows and windows without errors; both leave
+    # the significant cell empty and break runs.
+    out = f"roll_{countries}_{beta}_{window}_{step}_{seed}"
+    data, region_map = _synth(out=f"{out}_panel", seed=seed, countries=countries,
+                              extra=("--beta", beta))
+    assert main(["roll", "--data", data, "--region-map", region_map,
+                 "--years", "1949:1969", "--window", str(window), "--step", str(step),
+                 "--bootstrap", "10", "--seed", str(seed), "--out", out]) == 0
+    with open(f"{out}/roll_all.csv", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(line for line in handle if not line.startswith("#")))
+    runs = []
+    for flag, run in groupby(rows, key=lambda row: row["significant"]):
+        if flag:
+            run = list(run)
+            runs.append({"start": int(run[0]["window_start"]),
+                         "end": int(run[-1]["window_end"]), "significant": flag == "true"})
+    assert _load_json(f"{out}/roll_segments_all.json")["segments"] == runs
+
+
 def test_roll_window_exceeding_span_fails(isolated_cwd):
     data, region_map = _synth()
     code = main([
@@ -342,6 +371,15 @@ def test_data_dir_environment_override(isolated_cwd, monkeypatch):
         "--seed", "0", "--out", "via_env",
     ])
     assert code == 0
+
+
+@pytest.mark.parametrize("years", ["1950:1950", "1951:1950", "1950", "a:b"])
+def test_year_range_must_run_forward_before_anything_runs(isolated_cwd, years):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fit", "--data", TOY, "--years", years, "--bootstrap", "0",
+              "--out", "out"])
+    assert exit_info.value.code == 2
+    assert not Path("out").exists()
 
 
 def test_missing_data_file_reports_and_fails(isolated_cwd):

@@ -27,7 +27,6 @@ from growthvol.ingest import (
     read_observations,
     table_csv,
     validate_region_map,
-    write_long_csv,
 )
 from growthvol.panel import REGIONS
 from growthvol.rolling import RollingEntry, RollingSeries, rolling_csv
@@ -80,6 +79,26 @@ def test_read_long(long_file):
     assert gdppc.tolist() == [5186.0, 5452.0, 1921.0, 2110.0]
     assert set(country.tolist()) == {"France", "Japan"}
     assert year.dtype.kind == "i"
+
+
+def test_rows_starting_with_hash_after_the_header_are_data(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("# notes\n  # more notes\ncountry,year,gdppc\nFrance,1950,5186\n"
+                    "#Atlantis,1950,100\n  # note,1950,7\n", encoding="utf-8")
+    country, _, gdppc = read_observations(path)
+    assert country.tolist() == ["France", "#Atlantis", "# note"]
+    assert gdppc.tolist() == [5186.0, 100.0, 7.0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, report = load_panel(DatasetManifest(data_path=path, year_min=1950,
+                                               year_max=1951))
+    assert [d["country"] for d in report.dropped] == ["# note", "#Atlantis"]
+    assert len(caught) == 2
+    path.write_text("country,year,gdppc\nFrance,1950,5186\n# see,the notes,below\n",
+                    encoding="utf-8")
+    with pytest.raises(IngestError, match="malformed year 'the notes'") as err:
+        read_observations(path)
+    assert err.value.row == 3
 
 
 def test_malformed_cell_is_located(tmp_path):
@@ -253,7 +272,7 @@ def test_round_trip_exact(tmp_path, wide_file):
     with pytest.warns(UserWarning):
         panel, _ = load_panel(manifest)
     out = tmp_path / "normalized.csv"
-    write_long_csv(panel, out)
+    out.write_text(panel_to_long_csv(panel), encoding="utf-8")
     manifest2 = DatasetManifest(data_path=out, year_min=1950, year_max=1953)
     panel2, _ = load_panel(manifest2)
     assert panel2 == panel
@@ -284,7 +303,7 @@ def _long_csv_round_trip(directory, countries, years, levels):
     _write_csv(directory / "in.csv", [("country", "year", "gdppc"),
                                       *((c, y, repr(v)) for (c, y), v in zip(keys, levels))])
     panel = _load_with_map(directory / "in.csv", countries, years)
-    write_long_csv(panel, directory / "out.csv")
+    (directory / "out.csv").write_text(panel_to_long_csv(panel), encoding="utf-8")
     return panel, _load_with_map(directory / "out.csv", countries, years)
 
 
@@ -298,11 +317,10 @@ def test_round_trip_awkward_floats(tmp_path):
 
 
 # Country names with commas, quotes, spaces, '#' and 'é'.  A name reads back
-# as written only without outer spaces, without a leading '#' (which marks a
-# comment line) and when it is not an alias key.
+# as written only without outer spaces and when it is not an alias key; a
+# leading '#' marks a comment only before the header.
 _country_names = st.text('abcXYZ019 ,"#é', min_size=1, max_size=8).filter(
-    lambda name: name == name.strip() and not name.startswith("#")
-    and name not in COUNTRY_ALIASES)
+    lambda name: name == name.strip() and name not in COUNTRY_ALIASES)
 
 
 @st.composite

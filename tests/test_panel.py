@@ -187,11 +187,6 @@ def test_stratify_unknown_region_rejected():
         stratify(balanced_panel(), region="Atlantis")
 
 
-def test_stratify_balanced_only():
-    sub = stratify(balanced_panel(), balanced_only=True)
-    assert sub.countries == ["C0", "C2", "C3"]
-
-
 def test_stratify_year_range_keeps_boundary_growth():
     panel = balanced_panel()
     sub = stratify(panel, year_range=(1995, 1999))
@@ -210,17 +205,6 @@ def test_stratify_region_and_years_commute():
     assert one == two
 
 
-def test_stratify_recompute_sizes():
-    panel = balanced_panel()
-    sub = stratify(panel, region=REGIONS[3], recompute_sizes=True)
-    # per-year sizes sum to zero within the sub-panel
-    for y in set(sub.year.tolist()):
-        assert np.sum(sub.size[sub.year == y]) == pytest.approx(0.0, abs=1e-10)
-    # growth is untouched by size recomputation
-    mask = np.isin(panel.country, ["C2", "C3"])
-    np.testing.assert_array_equal(sub.growth, panel.growth[mask])
-
-
 def test_stratify_empty_selection_rejected():
     panel = balanced_panel()
     with pytest.raises(ValueError, match="no observations"):
@@ -234,10 +218,12 @@ def test_development_split_partitions_countries():
     developed, developing = development_split(panel)
     assert developed | developing == set(panel.countries)
     assert not developed & developing
-    sub = stratify(panel, development="developed")
+    sub = stratify(panel, development="developed", developed_countries=developed)
     assert set(sub.countries) == developed
     override = stratify(panel, development="developing", developed_countries=["C3"])
     assert set(override.countries) == {"C0", "C1", "C2"}
+    with pytest.raises(ValueError, match="developed_countries"):
+        stratify(panel, development="developed")
 
 
 def test_growth_arrays_align():
@@ -304,3 +290,37 @@ def test_demean_by_group_sums_to_zero_within_every_key(pairs):
         n = int(group.sum())
         bound = 4 * n * n * np.finfo(float).eps * max(1.0, np.abs(values[group]).max())
         assert abs(out[group].sum()) <= bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=level_rows(), data=st.data())
+def test_stratify_filters_nest_in_any_order(rows, data):
+    countries = sorted({c for c, _, _ in rows})
+    meta = {c: CountryMeta(c, region=data.draw(st.sampled_from(REGIONS[:2])))
+            for c in countries}
+    panel = build_growth_panel(make_obs(rows), meta=meta)
+    first = data.draw(st.integers(2000, 2011))
+    filters = [
+        {"region": data.draw(st.sampled_from(REGIONS[:2]))},
+        {"development": data.draw(st.sampled_from(["developed", "developing"])),
+         "developed_countries": development_split(panel)[0]},
+        {"year_range": (first, data.draw(st.integers(first, 2011)))},
+    ]
+    chosen = data.draw(st.lists(st.sampled_from(filters), min_size=1, max_size=3,
+                                unique_by=id))
+    at_once = {key: value for f in chosen for key, value in f.items()}
+    nested = panel
+    for f in data.draw(st.permutations(chosen)):
+        nested = _stratify_or_none(nested, **f)
+    assert nested == _stratify_or_none(panel, **at_once)
+
+
+def _stratify_or_none(panel, **filters):
+    """stratify(panel, **filters), or None for None or an empty selection."""
+    if panel is None:
+        return None
+    try:
+        return stratify(panel, **filters)
+    except ValueError as exc:
+        assert "selects no observations" in str(exc)
+        return None

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm
 
 from growthvol.panel import stratify
 from growthvol.rolling import (
@@ -21,8 +20,14 @@ from growthvol.synth import SynthSpec, generate
 @pytest.fixture(scope="module")
 def panel():
     # 12 countries x 20 growth years: each 10-year window holds 12*9 = 108
-    # consecutive pairs, comfortably above the default floor of 24.
+    # consecutive pairs, comfortably above the floor of 24.
     return generate(SynthSpec(n_countries=12, n_years=20, beta=-0.2, seed=5))
+
+
+@pytest.fixture(scope="module")
+def sparse_panel():
+    # 2 countries: a 10-year window holds 2*9 = 18 pairs, below the floor.
+    return generate(SynthSpec(n_countries=2, n_years=20, beta=-0.2, seed=5))
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +47,10 @@ def _series(entries):
     return RollingSeries(window_length=10, step=1, entries=entries)
 
 
+def _starts(series):
+    return [e.start_year for e in series.entries]
+
+
 def test_window_longer_than_span_rejected(panel):
     with pytest.raises(ValueError, match="exceeds"):
         roll(panel, window_length=21)
@@ -56,7 +65,7 @@ def test_degenerate_window_and_step_rejected(panel):
 
 def test_every_window_position_present(series):
     # Growth years 1950..1969; 10-year windows start at 1950..1960.
-    assert series.window_starts() == list(range(1950, 1961))
+    assert _starts(series) == list(range(1950, 1961))
     for entry in series.entries:
         assert entry.end_year == entry.start_year + 9
         assert entry.n_pairs == 12 * 9
@@ -66,7 +75,7 @@ def test_every_window_position_present(series):
 
 def test_step_spaces_window_starts(panel):
     stepped = roll(panel, window_length=10, step=5, bootstrap=0)
-    assert stepped.window_starts() == [1950, 1955, 1960]
+    assert _starts(stepped) == [1950, 1955, 1960]
 
 
 def test_window_fit_reproducible_in_isolation(panel, series):
@@ -88,12 +97,21 @@ def test_roll_is_deterministic(panel, series):
         assert a.fit.se_beta == b.fit.se_beta
 
 
-def test_sparse_windows_become_gaps(panel):
-    gappy = roll(panel, window_length=10, min_pairs=10_000, bootstrap=0)
-    assert gappy.window_starts() == list(range(1950, 1961))
+def test_sparse_windows_become_gaps(sparse_panel):
+    gappy = roll(sparse_panel, window_length=10, bootstrap=0)
+    assert _starts(gappy) == list(range(1950, 1961))
     for entry in gappy.entries:
         assert entry.fit is None
-        assert entry.n_pairs == 12 * 9
+        assert entry.n_pairs == 2 * 9
+
+
+def test_pair_floor_is_24():
+    three = generate(SynthSpec(n_countries=3, n_years=20, beta=-0.2, seed=5))
+    # 3 countries: 9-year windows hold 24 pairs, 8-year windows 21.
+    assert all(e.n_pairs == 24 and e.fit is not None
+               for e in roll(three, window_length=9, bootstrap=0).entries)
+    assert all(e.n_pairs == 21 and e.fit is None
+               for e in roll(three, window_length=8, bootstrap=0).entries)
 
 
 def test_window_betas_near_truth(series):
@@ -139,31 +157,16 @@ def test_segments_broken_by_gaps_and_missing_errors():
     ]
 
 
-def test_segments_respect_level():
-    # |beta|/se = 2.2: significant at 5%, not at 1%.
-    entries = [RollingEntry(1950, 1959, 108, _stub_fit(-0.11, 0.05))]
-    assert significance_segments(_series(entries), level=0.05) == [(1950, 1959, True)]
-    assert significance_segments(_series(entries), level=0.01) == [(1950, 1959, False)]
-
-
 def test_segments_reject_bad_input():
     with pytest.raises(ValueError, match="empty"):
         significance_segments(_series([]))
-    entry = RollingEntry(1950, 1959, 108, _stub_fit(-0.3, 0.05))
-    with pytest.raises(ValueError, match="level"):
-        significance_segments(_series([entry]), level=1.5)
 
 
-def _segments_reference(series, level=0.05):
+def _segments_reference(series):
     """The run-finding state machine that ``significance_segments`` replaced."""
-    critical = float(norm.ppf(1.0 - level / 2.0))
 
     def status(entry):
-        if entry.fit is None or entry.fit.se_beta is None:
-            return None
-        if entry.fit.se_beta == 0.0:
-            return True
-        return bool(abs(entry.fit.beta) / entry.fit.se_beta > critical)
+        return None if entry.fit is None else entry.fit.significant_5pct
 
     segments = []
     run_start = None
@@ -185,36 +188,27 @@ def _segments_reference(series, level=0.05):
     return segments
 
 
-# A window is a gap (None) or a fit whose (beta, se_beta) makes its status
-# significant, not significant (both by the ratio or by a zero error) or
-# unknown (no error).
-_windows = st.lists(
-    st.one_of(
-        st.none(),
-        st.tuples(st.floats(-1.0, 1.0),
-                  st.one_of(st.none(), st.just(0.0), st.floats(1e-3, 1.0))),
-    ),
-    min_size=1, max_size=30,
-)
+# A window is a gap or a fit whose 5% flag is significant, not significant
+# or unknown (no error).
+_windows = st.lists(st.sampled_from(["gap", True, False, None]), min_size=1, max_size=30)
 
 
 @settings(max_examples=300, deadline=None)
-@given(windows=_windows, level=st.sampled_from([0.05, 0.01, 0.1, 0.2, 1e-3]))
-def test_segments_equal_the_state_machine(windows, level):
+@given(windows=_windows)
+def test_segments_equal_the_state_machine(windows):
     entries = []
-    for k, window in enumerate(windows):
+    for k, flag in enumerate(windows):
         fit = None
-        if window is not None:
-            beta, se_beta = window
-            fit = ScalingFit(method="alad", beta=beta, gamma_or_alpha=0.0,
-                             se_beta=se_beta, se_gamma_or_alpha=None, n_obs=108,
-                             significant_5pct=None)
+        if flag != "gap":
+            fit = ScalingFit(method="alad", beta=-0.1, gamma_or_alpha=0.0,
+                             se_beta=None if flag is None else 0.05,
+                             se_gamma_or_alpha=None, n_obs=108, significant_5pct=flag)
         entries.append(RollingEntry(1950 + k, 1959 + k, 108, fit))
     series = _series(entries)
-    assert significance_segments(series, level) == _segments_reference(series, level)
+    assert significance_segments(series) == _segments_reference(series)
 
 
-def test_csv_layout_and_gap_rows(series, panel):
+def test_csv_layout_and_gap_rows(series, sparse_panel):
     text = rolling_csv(series)
     lines = text.strip().split("\n")
     assert lines[0] == (
@@ -226,8 +220,8 @@ def test_csv_layout_and_gap_rows(series, panel):
     assert float(first[2]) == series.entries[0].fit.beta
     assert first[8] in {"true", "false"}
 
-    gappy = roll(panel, window_length=10, min_pairs=10_000, bootstrap=0)
+    gappy = roll(sparse_panel, window_length=10, bootstrap=0)
     gap_row = rolling_csv(gappy).strip().split("\n")[1].split(",")
     assert gap_row[:2] == ["1950", "1959"]
-    assert gap_row[2:8] == ["", "", "", "", "", "108"]
+    assert gap_row[2:8] == ["", "", "", "", "", "18"]
     assert gap_row[8] == ""

@@ -12,9 +12,10 @@ from scipy.stats import t as student_t
 
 from growthvol.panel import build_growth_panel, stratify
 from growthvol.scaling import (
+    _CRITICAL_5PCT,
+    _alad_loss,
     _bootstrap_alad,
     _exact_location,
-    alad_objective,
     bin_stats_csv,
     binned_beta,
     binned_beta_xy,
@@ -63,18 +64,18 @@ def test_binned_occupancy_violation_names_remedy():
     sizes = np.linspace(-1, 1, 100)
     values = np.sin(sizes * 17.0) * 0.1 + 0.01 * sizes**2
     with pytest.raises(ValueError, match="at most 3 bins"):
-        binned_beta_xy(sizes, values, n_bins=10, min_occupancy=30)
+        binned_beta_xy(sizes, values, n_bins=10)
 
 
 def test_binned_needs_three_bins():
     with pytest.raises(ValueError, match="at least 3 bins"):
-        binned_beta_xy(np.arange(100.0), np.arange(100.0), n_bins=2, min_occupancy=1)
+        binned_beta_xy(np.arange(100.0), np.arange(100.0), n_bins=2)
 
 
 def test_binned_constant_sizes_unidentified():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="unidentified"):
-        binned_beta_xy(np.zeros(200), rng.normal(size=200), n_bins=4, min_occupancy=30)
+        binned_beta_xy(np.zeros(200), rng.normal(size=200), n_bins=4)
 
 
 def test_bin_csv_layout(hetero_panel):
@@ -93,6 +94,8 @@ def test_rescale_beta_zero_is_demeaning(null_panel):
         np.testing.assert_allclose(
             eps[mask], growth[mask] - growth[mask].mean(), atol=1e-12
         )
+    with pytest.raises(ValueError, match="finite"):
+        rescale_residuals(null_panel, np.nan)
 
 
 def test_rescale_restores_homoskedasticity(hetero_panel):
@@ -101,17 +104,6 @@ def test_rescale_restores_homoskedasticity(hetero_panel):
     _, _, _, size = hetero_panel.growth_arrays()
     refit, _ = binned_beta_xy(size, eps)
     assert abs(refit.beta / refit.se_beta) < 2.0
-
-
-def test_rescale_center_options(hetero_panel):
-    by_year = rescale_residuals(hetero_panel, -0.3, center="year")
-    by_country = rescale_residuals(hetero_panel, -0.3, center="country")
-    assert by_year.shape == by_country.shape
-    assert not np.allclose(by_year, by_country)
-    with pytest.raises(ValueError, match="center"):
-        rescale_residuals(hetero_panel, -0.3, center="median")
-    with pytest.raises(ValueError, match="finite"):
-        rescale_residuals(hetero_panel, np.nan)
 
 
 def test_alad_recovers_generator_params():
@@ -133,12 +125,15 @@ def test_alad_trace_monotone(hetero_panel):
 
 def test_alad_alpha_first_order_optimality(hetero_panel):
     fit = fit_alad(hetero_panel, bootstrap=0)
-    at_optimum = alad_objective(hetero_panel, fit.gamma_or_alpha, fit.phi1, fit.beta)
+    pairs = hetero_panel.ar1_pairs()[:3]
+
+    def loss(alpha):
+        return _alad_loss(*pairs, alpha, fit.phi1, fit.beta, (1.0, 1.0))
+
+    at_optimum = loss(fit.gamma_or_alpha)
     for delta in (1e-6, 1e-5, 1e-4):
         for sign in (-1.0, 1.0):
-            perturbed = alad_objective(
-                hetero_panel, fit.gamma_or_alpha + sign * delta, fit.phi1, fit.beta
-            )
+            perturbed = loss(fit.gamma_or_alpha + sign * delta)
             assert perturbed >= at_optimum - 1e-12
 
 
@@ -367,12 +362,13 @@ def test_alad_unpolished_replicates_keep_the_standard_error(toy_panel):
 
 
 def test_special_function_tails_equal_scipy_stats():
-    # binned_beta_xy and significance_segments take their Student t and
-    # normal tails from scipy.special, which imports far faster than
-    # scipy.stats; the values must be the same floats.
+    # binned_beta_xy and fit_alad's 5% flag take their Student t and normal
+    # tails from scipy.special, which imports far faster than scipy.stats;
+    # the values must be the same floats.
     ratios = np.concatenate([np.linspace(0.0, 40.0, 801), np.geomspace(1e-8, 1e4, 241)])
     for dof in (*range(1, 60), 100, 1000):
         assert np.array_equal(stdtr(dof, -ratios), student_t.sf(ratios, dof)), dof
     levels = np.concatenate([[0.05, 0.01, 0.1, 0.2, 1e-3], np.geomspace(1e-12, 0.999, 400)])
     for level in levels:
         assert ndtri(1.0 - level / 2.0) == norm.ppf(1.0 - level / 2.0), level
+    assert _CRITICAL_5PCT == norm.ppf(1.0 - 0.05 / 2.0)

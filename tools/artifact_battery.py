@@ -8,8 +8,9 @@ SRC is a source root holding the ``growthvol`` package (``src`` in a
 checkout).  Each invocation runs as ``python -m growthvol.cli`` with
 ``PYTHONPATH=SRC``, inside OUT, into its own subdirectory.  The inputs are
 first written into OUT, so that every path the artifacts record is the same
-whichever SRC ran: the bundled toy panel, its levels in the wide layout, and
-the toy panel with one row given twice.  The exit code of each invocation
+whichever SRC ran: the bundled toy panel, its levels in the wide layout,
+the toy panel with one row given twice, and the toy panel with a row for a
+country named ``#Atlantis``, which no region map knows.  The exit code of each invocation
 goes to ``OUT/exit_codes.json``.
 
 Two source trees produce the same artifacts when
@@ -18,8 +19,8 @@ Two source trees produce the same artifacts when
     python3 tools/artifact_battery.py after/src /tmp/after
     diff -r /tmp/before /tmp/after
 
-prints nothing.  OUT must not exist yet.  The battery takes about 20 s on
-two CPUs.
+prints nothing.  The 16 invocations and four inputs leave 92 files in OUT,
+which must not exist yet.  The battery takes about 20 s on two CPUs.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from pathlib import Path
 TOY = "toy_panel_31.csv"
 TOY_WIDE = "toy_panel_31_wide.csv"
 TOY_DUPLICATE = "toy_panel_31_duplicate.csv"
+TOY_HASH_ROW = "toy_panel_31_hash_row.csv"
 SYNTH = ["--region-map", "synth_a/synth_region_map.csv", "--years", "1949:1969"]
 # (output directory, subcommand and its arguments; --out is added).  Order
 # matters: the synthetic-panel runs read what synth_a writes.
@@ -69,11 +71,15 @@ BATTERY = [
                     "--bootstrap", "8", "--seed", "10"]),
     ("missing_data", ["fit", "--data", "no_such_file.csv", "--bootstrap", "0"]),
     ("duplicate_row", ["fit", "--data", TOY_DUPLICATE, "--bootstrap", "0"]),
+    # A data row whose first cell starts with '#': dropped, and reported in
+    # load_report.json, as a country missing from the region map.
+    ("hash_row", ["scale", "--data", TOY_HASH_ROW, "--method", "binned",
+                  "--split", "both", "--bins", "10"]),
 ]
 
 
 def write_inputs(toy: Path, out: Path) -> None:
-    """Copy the toy panel into OUT and write its wide and duplicate-row variants."""
+    """Copy the toy panel into OUT and write its wide, duplicate-row and '#'-row variants."""
     shutil.copyfile(toy, out / TOY)
     with open(toy, newline="", encoding="utf-8") as handle:
         rows = [row for row in csv.reader(handle) if not row[0].startswith("#")]
@@ -89,6 +95,9 @@ def write_inputs(toy: Path, out: Path) -> None:
     with open(out / TOY_DUPLICATE, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle, lineterminator="\n").writerows(
             [header, *body[:50], body[40], *body[50:]])
+    with open(out / TOY_HASH_ROW, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(
+            [header, *body[:50], ["#Atlantis", "1950", "100"], *body[50:]])
 
 
 def run_battery(src: Path, out: Path) -> dict[str, int]:

@@ -14,7 +14,7 @@ import importlib.resources
 import numpy as np
 
 from growthvol.aep_fit import fit_aep, fit_special
-from growthvol.ingest import DatasetManifest, load_panel
+from growthvol.ingest import load_panel
 from growthvol.panel import stratify
 
 # ----------------------------------------------------------------------------
@@ -22,10 +22,9 @@ from growthvol.panel import stratify
 # with known parameters (see 00_build_toy_panel.py).
 
 toy = importlib.resources.files("growthvol") / "data" / "toy_panel_31.csv"
-panel, report = load_panel(DatasetManifest(data_path=str(toy), year_min=1900,
-                                           year_max=1999, panel_kind="balanced"))
+panel, report = load_panel(toy, balanced=True)
 growth = panel.growth_arrays()[2]
-print(f"panel: {report.countries} countries, {growth.size} growth observations")
+print(f"panel: {report['countries']} countries, {growth.size} growth observations")
 
 # ----------------------------------------------------------------------------
 # Full maximum likelihood fit.  Standard errors come from the observed

@@ -16,7 +16,7 @@ import importlib.resources
 
 import numpy as np
 
-from growthvol.ingest import DatasetManifest, load_panel
+from growthvol.ingest import load_panel
 from growthvol.panel import stratify
 from growthvol.scaling import (
     binned_beta,
@@ -30,8 +30,7 @@ from growthvol.scaling import (
 # estimators have a known target.
 
 toy = importlib.resources.files("growthvol") / "data" / "toy_panel_31.csv"
-panel, _ = load_panel(DatasetManifest(data_path=str(toy), year_min=1900,
-                                      year_max=1999, panel_kind="balanced"))
+panel, _ = load_panel(toy, balanced=True)
 
 # ----------------------------------------------------------------------------
 # Method 1: binned OLS.  Sort observations into equal-occupancy size bins,

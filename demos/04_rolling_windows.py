@@ -15,7 +15,7 @@ import importlib.resources
 
 import numpy as np
 
-from growthvol.ingest import DatasetManifest, load_panel
+from growthvol.ingest import load_panel
 from growthvol.rolling import roll, rolling_csv, significance_segments
 
 # ----------------------------------------------------------------------------
@@ -24,8 +24,7 @@ from growthvol.rolling import roll, rolling_csv, significance_segments
 # to one year.  Windows are fitted one after another.
 
 toy = importlib.resources.files("growthvol") / "data" / "toy_panel_31.csv"
-panel, _ = load_panel(DatasetManifest(data_path=str(toy), year_min=1900,
-                                      year_max=1999, panel_kind="balanced"))
+panel, _ = load_panel(toy, balanced=True)
 
 series = roll(panel, window_length=10, step=5, bootstrap=50, seed=0)
 print(f"{len(series.entries)} windows of {series.window_length} years, "

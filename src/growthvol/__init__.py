@@ -3,8 +3,6 @@
 from growthvol.aep import AepParams, density, left_mass, log_density, normalization, sample
 from growthvol.aep_fit import AepFit, fit_aep, fit_special
 from growthvol.ingest import (
-    DatasetManifest,
-    LoadReport,
     load_panel,
     panel_to_long_csv,
     read_observations,
@@ -39,9 +37,7 @@ __all__ = [
     "AepFit",
     "AepParams",
     "BinStat",
-    "DatasetManifest",
     "GrowthPanel",
-    "LoadReport",
     "REGIONS",
     "RollingEntry",
     "RollingSeries",

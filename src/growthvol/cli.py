@@ -41,7 +41,7 @@ import numpy as np
 
 from growthvol.aep import AepParams, density
 from growthvol.aep_fit import fit_aep
-from growthvol.ingest import DatasetManifest, load_panel, panel_to_long_csv, table_csv
+from growthvol.ingest import load_panel, panel_to_long_csv, table_csv
 from growthvol.panel import REGIONS, development_split, stratify
 from growthvol.rolling import roll, rolling_csv, significance_segments
 from growthvol.scaling import bin_stats_csv, binned_beta, fit_alad
@@ -86,6 +86,12 @@ def _parse_years(text: str) -> tuple[int, int]:
     return first, last
 
 
+def _parse_count(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_shock(text: str) -> AepParams:
     kind, _, rest = text.partition(":")
     try:
@@ -111,7 +117,8 @@ def _expand_strata(args) -> list[tuple]:
     """Cross the requested regions and development splits into strata.
 
     Each stratum is (label, region, development); with no filters the single
-    stratum "all" covers the whole panel.
+    stratum "all" covers the whole panel.  A region or split given more than
+    once, directly or through "all" or "both", counts once, where first seen.
     """
     regions = []
     for name in args.region or []:
@@ -122,7 +129,8 @@ def _expand_strata(args) -> list[tuple]:
     splits = [split for name in args.split or []
               for split in (_SPLITS if name == "both" else [name])]
     return [("_".join(part for part in (region, split) if part) or "all", region, split)
-            for region in regions or [None] for split in splits or [None]]
+            for region in dict.fromkeys(regions or [None])
+            for split in dict.fromkeys(splits or [None])]
 
 
 def _failure(stratum: str, exc: Exception) -> dict:
@@ -155,14 +163,9 @@ def _each_stratum(args, fit_stratum) -> int:
     root = os.environ.get("GROWTHVOL_DATA_DIR")
     if root and not data.is_absolute():
         data = Path(root) / data
-    panel, report = load_panel(DatasetManifest(
-        data_path=str(data),
-        region_map_path=args.region_map,
-        year_min=args.years[0],
-        year_max=args.years[1],
-        panel_kind=args.panel,
-    ))
-    write("load_report.json", report.to_json_dict())
+    panel, report = load_panel(data, region_map=args.region_map, year_range=args.years,
+                               balanced=args.panel == "balanced")
+    write("load_report.json", report)
     developed = development_split(panel)[0]
     failures = []
     for label, region, development in _expand_strata(args):
@@ -328,7 +331,7 @@ def _add_panel_arguments(sub):
 
 
 def _add_common_arguments(sub):
-    sub.add_argument("--bootstrap", type=int, default=200,
+    sub.add_argument("--bootstrap", type=_parse_count, default=200,
                      help="bootstrap replicates for standard errors")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True, metavar="DIR")

@@ -20,6 +20,9 @@ that still match no entry of the region map are never fuzzy-matched, they
 are dropped and reported.  A bundled region map assigns each country to one
 of six world regions; a custom map can be supplied instead.
 
+``load_panel`` reads a file into a panel whose meta maps each country to its
+region, and returns it with the plain dict written as ``load_report.json``.
+
 Serialization writes levels in the long layout with 17 significant digits,
 so a save/load round trip reproduces a panel bit for bit; ``table_csv``
 writes it and every other generated CSV table.
@@ -31,13 +34,12 @@ import csv
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from growthvol.panel import REGIONS, CountryMeta, GrowthPanel, build_growth_panel
+from growthvol.panel import REGIONS, GrowthPanel, build_growth_panel
 
 # Countries with complete 1900-1999 coverage in the classic long-run
 # dataset; the bundled demo panel uses the same roster.
@@ -123,50 +125,6 @@ class IngestError(ValueError):
         self.path = path
         self.row = row
         self.column = column
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    """What to load and how to restrict it.
-
-    ``region_map_path`` of None selects the bundled six-region map.
-    ``panel_kind`` is "unbalanced" (every country with any coverage) or
-    "balanced" (only countries observed in every year of the range).
-    """
-
-    data_path: str | Path
-    region_map_path: str | Path | None = None
-    year_min: int = 1900
-    year_max: int = 1999
-    panel_kind: str = "unbalanced"
-
-    def __post_init__(self):
-        if self.year_min >= self.year_max:
-            raise ValueError(
-                f"year_min must precede year_max, got {self.year_min}..{self.year_max}"
-            )
-        if self.panel_kind not in ("balanced", "unbalanced"):
-            raise ValueError(
-                f"panel_kind must be 'balanced' or 'unbalanced', got {self.panel_kind!r}"
-            )
-
-
-@dataclass
-class LoadReport:
-    """What a load produced and what it discarded."""
-
-    countries: int
-    years: tuple[int, int]
-    dropped: list[dict] = field(default_factory=list)
-    balanced_members: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "countries": self.countries,
-            "years": list(self.years),
-            "dropped": self.dropped,
-            "balanced_members": self.balanced_members,
-        }
 
 
 def canonical_name(name: str) -> str:
@@ -308,72 +266,70 @@ def read_observations(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.array(gdppc, dtype=float))
 
 
-def load_panel(manifest: DatasetManifest) -> tuple[GrowthPanel, LoadReport]:
+def load_panel(data_path, *, region_map=None, year_range=(1900, 1999),
+               balanced=False) -> tuple[GrowthPanel, dict]:
     """Load, validate, and assemble a growth panel.
 
+    ``region_map`` is a country,region CSV, None for the bundled map.
+    ``year_range`` is the closed range of years kept, first before last;
+    ``balanced`` keeps only the countries observed in every year of it.
     Countries absent from the region map are dropped with a warning and a
     report entry.  Map entries matching no country in the data are ignored
-    with a warning.  Balanced membership means having an observation in
-    every year of the manifest's range.
+    with a warning.
 
     Returns
     -------
-    (GrowthPanel, LoadReport)
+    (GrowthPanel, report)
+        The report is the dict written as ``load_report.json``:
+        ``countries``, ``years`` (the panel's span), ``dropped`` (country
+        and reason) and ``balanced_members`` (kept countries covering the
+        range, in either mode).
     """
-    if manifest.region_map_path is None:
-        region_map = bundled_region_map()
-    else:
-        region_map = validate_region_map(manifest.region_map_path)
+    first, last = year_range
+    if first >= last:
+        raise ValueError(f"year_range must run forward, got {first}..{last}")
+    regions = bundled_region_map() if region_map is None else validate_region_map(region_map)
 
-    country, year, gdppc = read_observations(manifest.data_path)
-    rows = (year >= manifest.year_min) & (year <= manifest.year_max)
+    country, year, gdppc = read_observations(data_path)
+    rows = (year >= first) & (year <= last)
     if not rows.any():
-        raise IngestError(
-            f"no observations in {manifest.year_min}..{manifest.year_max}",
-            path=manifest.data_path,
-        )
+        raise IngestError(f"no observations in {first}..{last}", path=data_path)
     country, year, gdppc = country[rows], year[rows], gdppc[rows]
 
-    report = LoadReport(countries=0, years=(manifest.year_min, manifest.year_max))
+    dropped = []
     names, inverse = np.unique(country, return_inverse=True)
-    mapped = np.array([c in region_map for c in names.tolist()])
+    mapped = np.array([c in regions for c in names.tolist()])
     for c in names[~mapped].tolist():
         warnings.warn(f"dropping {c!r}: not in the region map", stacklevel=2)
-        report.dropped.append({"country": c, "reason": "not in region map"})
-    unused = sorted(set(region_map).difference(names.tolist()))
-    if unused and manifest.region_map_path is not None:
+        dropped.append({"country": c, "reason": "not in region map"})
+    unused = sorted(set(regions).difference(names.tolist()))
+    if unused and region_map is not None:
         # A custom map naming absent countries is suspicious; the bundled
         # one legitimately covers more than any single file.
         for c in unused:
             warnings.warn(f"region map entry {c!r} matches no data", stacklevel=2)
     if not mapped.any():
-        raise IngestError("every country was dropped", path=manifest.data_path)
+        raise IngestError("every country was dropped", path=data_path)
 
     # (country, year) is unique, so a country covering the range has a row
     # for each of its years.
-    balanced = mapped & (np.bincount(inverse) == manifest.year_max - manifest.year_min + 1)
+    covers = mapped & (np.bincount(inverse) == last - first + 1)
     kept = mapped
-    if manifest.panel_kind == "balanced":
-        for c in names[mapped & ~balanced].tolist():
-            report.dropped.append({"country": c,
-                                   "reason": "incomplete years for balanced panel"})
-        if not balanced.any():
+    if balanced:
+        for c in names[mapped & ~covers].tolist():
+            dropped.append({"country": c, "reason": "incomplete years for balanced panel"})
+        if not covers.any():
             raise IngestError(
                 "no country covers the full year range; balanced panel is empty",
-                path=manifest.data_path,
+                path=data_path,
             )
-        kept = balanced
+        kept = covers
 
-    meta = {
-        c: CountryMeta(country_id=c, region=region_map[c], balanced_member=bool(b))
-        for c, k, b in zip(names.tolist(), kept, balanced) if k
-    }
     rows = kept[inverse]
-    panel = build_growth_panel((country[rows], year[rows], gdppc[rows]), meta)
-    report.countries = panel.n_countries
-    report.years = panel.span
-    report.balanced_members = sum(1 for m in panel.meta.values() if m.balanced_member)
-    return panel, report
+    panel = build_growth_panel((country[rows], year[rows], gdppc[rows]),
+                               {c: regions[c] for c in names[kept].tolist()})
+    return panel, {"countries": panel.n_countries, "years": list(panel.span),
+                   "dropped": dropped, "balanced_members": int(covers[kept].sum())}
 
 
 def panel_to_long_csv(panel: GrowthPanel) -> str:

@@ -12,10 +12,10 @@ two derived columns:
   measures relative position and is invariant to common growth of all
   countries.
 
-Panels can be stratified by region, by development status (membership in
-a developed set, such as the upper half by ``development_split``), or to a
-year range.  Every filter is a row selection, and stratification keeps the
-derived columns of the parent: a sub-panel's growth rates and sizes still
+A panel's ``meta`` maps each country to its region, or None.  Panels can be
+stratified by region, by development status (membership in a developed set,
+such as the upper half by ``development_split``), or to a year range.  Every
+filter is a row selection, and stratification keeps the derived columns of the parent: a sub-panel's growth rates and sizes still
 refer to the full panel that produced them, which is what rolling-window
 estimation needs.
 """
@@ -36,20 +36,13 @@ REGIONS = (
 )
 
 
-@dataclass(frozen=True)
-class CountryMeta:
-    country_id: str
-    region: str | None = None
-    balanced_member: bool = False
-
-
 @dataclass
 class GrowthPanel:
     """Level observations plus derived growth and size columns.
 
     Rows are sorted by (country_id, year).  ``growth`` is NaN in a country's
     first observed year and after any gap.  ``size`` is defined for every
-    row.  ``meta`` carries one entry per country.
+    row.  ``meta`` maps each country to its region, None where unknown.
     """
 
     country: np.ndarray
@@ -57,7 +50,7 @@ class GrowthPanel:
     gdppc: np.ndarray
     size: np.ndarray
     growth: np.ndarray
-    meta: dict[str, CountryMeta] = field(default_factory=dict)
+    meta: dict[str, str | None] = field(default_factory=dict)
 
     @property
     def span(self) -> tuple[int, int]:
@@ -135,7 +128,7 @@ def demean_by_group(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def build_growth_panel(
     observations,
-    meta: dict[str, CountryMeta] | None = None,
+    meta: dict[str, str | None] | None = None,
 ) -> GrowthPanel:
     """Assemble a panel from raw level observations.
 
@@ -146,7 +139,7 @@ def build_growth_panel(
         positive and finite and (country, year) unique; the first offender in
         (country, year) order is named.
     meta : dict, optional
-        Per-country metadata; countries without an entry get a default one.
+        Country -> region; countries without an entry get None.
 
     Returns
     -------
@@ -179,8 +172,7 @@ def build_growth_panel(
     growth[idx] = log_gdppc[idx] - log_gdppc[idx - 1]
 
     meta = meta or {}
-    full_meta = {c: meta[c] if c in meta else CountryMeta(country_id=c)
-                 for c in country[np.r_[True, ~same_country]].tolist()}
+    full_meta = {c: meta.get(c) for c in country[np.r_[True, ~same_country]].tolist()}
     return GrowthPanel(country=country, year=year, gdppc=gdppc, size=size,
                        growth=growth, meta=full_meta)
 
@@ -214,7 +206,7 @@ def stratify(
     Parameters
     ----------
     region : str, optional
-        Keep countries whose metadata region matches (see REGIONS).
+        Keep countries whose meta region matches (see REGIONS).
     development : {"developed", "developing"}, optional
         Keep the countries in ``developed_countries``, or the rest.
     developed_countries : iterable of str
@@ -232,8 +224,7 @@ def stratify(
     if region is not None:
         if region not in REGIONS:
             raise ValueError(f"unknown region {region!r}; expected one of {REGIONS}")
-        members = {c for c, m in panel.meta.items() if m.region == region}
-        keep &= np.isin(panel.country, sorted(members))
+        keep &= np.isin(panel.country, [c for c, r in panel.meta.items() if r == region])
     if development is not None:
         if development not in ("developed", "developing"):
             raise ValueError(

@@ -276,9 +276,12 @@ def fit_alad(
         Country-level bootstrap replicates for standard errors; 0 disables
         them (point estimates only, significance then unknown).  Each
         replicate is fitted exactly as the point fit is, and the point
-        estimate and ``trace`` are the same whatever this is.  Errors are
-        None when fewer than max(10, bootstrap // 2) replicates could be
-        fitted.
+        estimate and ``trace`` are the same whatever this is.  Errors and
+        the significance flag are None when fewer than
+        max(10, bootstrap // 2) replicates could be fitted, or when every
+        fitted replicate drew the same countries (as with two countries,
+        where the only draw with size variation is the sample itself): the
+        spread of such replicates is rounding noise, not sampling error.
     seed : int or sequence of ints
         Root of the deterministic per-replicate RNG streams.
     tail_weights : (float, float)
@@ -302,9 +305,9 @@ def fit_alad(
 
     se_alpha = se_phi1 = se_beta = None
     significant = None
-    draws = _bootstrap_alad(r_t, r_lag, s_lag, country, year, bootstrap, seed,
-                            tail_weights=tail_weights)
-    if len(draws) >= max(10, bootstrap // 2):
+    draws, varied = _bootstrap_alad(r_t, r_lag, s_lag, country, year, bootstrap, seed,
+                                    tail_weights=tail_weights)
+    if varied and len(draws) >= max(10, bootstrap // 2):
         se_alpha, se_phi1, se_beta = (float(v) for v in np.std(draws, axis=0, ddof=1))
         significant = bool(abs(beta) / se_beta > _CRITICAL_5PCT) if se_beta > 0 else True
 
@@ -382,7 +385,10 @@ def _seed_entropy(seed) -> list[int]:
 
 def _bootstrap_alad(r_t, r_lag, s_lag, country, year, n_replicates, seed, *,
                     tail_weights):
-    """Country-resampled replicate estimates, one (alpha, phi1, beta) row each.
+    """Country-resampled replicate estimates and whether their draws differ.
+
+    Returns one (alpha, phi1, beta) row per fitted replicate, and whether
+    the fitted replicates drew more than one multiset of countries.
 
     Each replicate is fitted from a cold start by ``_fit_alad_arrays``, as
     the point fit is.  A draw whose re-demeaned sizes do not vary, such as
@@ -399,6 +405,7 @@ def _bootstrap_alad(r_t, r_lag, s_lag, country, year, n_replicates, seed, *,
     rows_of = {c: np.flatnonzero(country == c) for c in unique}
     entropy = _seed_entropy(seed)
     draws = []
+    drawn = set()  # the multisets of countries behind the rows
     for rep in range(n_replicates):
         rng = np.random.default_rng(np.random.SeedSequence(entropy + [rep]))
         chosen = rng.choice(unique, size=unique.size, replace=True)
@@ -413,4 +420,5 @@ def _bootstrap_alad(r_t, r_lag, s_lag, country, year, n_replicates, seed, *,
         # mean 0.9984.
         alpha, phi1, beta, _ = _fit_alad_arrays(r_t[idx], r_lag[idx], sizes, tail_weights)
         draws.append((alpha, phi1, beta))
-    return np.reshape(draws, (-1, 3))
+        drawn.add(tuple(sorted(chosen.tolist())))
+    return np.reshape(draws, (-1, 3)), len(drawn) > 1

@@ -20,6 +20,10 @@ Generated panels carry one level year before the first retained growth year,
 so a spec with n_years = 50 starting in 1950 yields growth rates for
 1950..1999 exactly.
 
+Generated countries have no region: a panel's meta maps each of them to
+None.  Loading the panel back with a region map, such as the one the
+``synth`` command writes beside it, assigns regions.
+
 Each country consumes its own RNG substream (spawned from the spec seed), so
 panels are reproducible regardless of how generation is scheduled.
 """
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from growthvol.aep import AepParams, sample
-from growthvol.panel import CountryMeta, GrowthPanel, build_growth_panel
+from growthvol.panel import GrowthPanel, build_growth_panel
 
 
 # Sizes enter the volatility link bounded to [-_SIZE_BOUND, _SIZE_BOUND].  For
@@ -124,8 +128,5 @@ def generate(spec: SynthSpec) -> GrowthPanel:
 
     ids = spec.country_ids()
     years = np.arange(spec.start_year - 1, spec.start_year + spec.n_years)
-    meta = {c: CountryMeta(country_id=c, balanced_member=True) for c in ids}
     return build_growth_panel(
-        (np.repeat(ids, years.size), np.tile(years, n), np.exp(kept_levels).ravel()),
-        meta=meta,
-    )
+        (np.repeat(ids, years.size), np.tile(years, n), np.exp(kept_levels).ravel()))

@@ -10,7 +10,7 @@ import importlib.resources
 
 import pytest
 
-from growthvol.ingest import DatasetManifest, load_panel
+from growthvol.ingest import load_panel
 
 TOY_PATH = str(importlib.resources.files("growthvol") / "data" / "toy_panel_31.csv")
 
@@ -18,9 +18,7 @@ TOY_PATH = str(importlib.resources.files("growthvol") / "data" / "toy_panel_31.c
 @pytest.fixture(scope="session")
 def toy_panel():
     """The bundled balanced century panel, 31 countries, 1900-1999."""
-    manifest = DatasetManifest(data_path=TOY_PATH, year_min=1900, year_max=1999,
-                               panel_kind="balanced")
-    return load_panel(manifest)[0]
+    return load_panel(TOY_PATH, balanced=True)[0]
 
 
 _ACCEPTANCE_LINES: list[tuple[float, str]] = []

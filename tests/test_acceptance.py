@@ -24,7 +24,7 @@ from conftest import record_criterion
 from growthvol.aep import AepParams, density, log_density, sample
 from growthvol.aep_fit import fit_aep
 from growthvol.cli import main as cli_main
-from growthvol.ingest import DatasetManifest, load_panel, panel_to_long_csv
+from growthvol.ingest import load_panel, panel_to_long_csv
 from growthvol.panel import REGIONS, GrowthPanel, build_growth_panel, stratify
 from growthvol.rolling import roll, significance_segments
 from growthvol.scaling import (
@@ -54,9 +54,7 @@ def _historical_path():
 
 
 def _load_century(path) -> GrowthPanel:
-    manifest = DatasetManifest(data_path=str(path), year_min=1900,
-                               year_max=1999, panel_kind="balanced")
-    return load_panel(manifest)[0]
+    return load_panel(path, balanced=True)[0]
 
 
 @pytest.fixture(scope="module")
@@ -444,11 +442,8 @@ def test_criterion_8_determinism_and_round_trip(toy_panel, tmp_path, monkeypatch
         text = panel_to_long_csv(panel)
         path = tmp_path / "pipeline.csv"
         path.write_text(text, encoding="utf-8")
-        manifest = DatasetManifest(data_path=str(path),
-                                   region_map_path=str(region_map_for(panel)),
-                                   year_min=1949, year_max=1969,
-                                   panel_kind="unbalanced")
-        reloaded, _ = load_panel(manifest)
+        reloaded, _ = load_panel(path, region_map=region_map_for(panel),
+                                 year_range=(1949, 1969))
         fit = fit_alad(reloaded, bootstrap=60, seed=0)
         return text, (fit.beta, fit.se_beta, fit.phi1, fit.se_phi1)
 
@@ -489,11 +484,7 @@ def test_criterion_8_determinism_and_round_trip(toy_panel, tmp_path, monkeypatch
         path = tmp_path / "roundtrip.csv"
         path.write_text(text, encoding="utf-8")
         lo, hi = source.span
-        manifest = DatasetManifest(data_path=str(path),
-                                   region_map_path=str(region_map_for(source)),
-                                   year_min=lo, year_max=hi,
-                                   panel_kind="unbalanced")
-        back, _ = load_panel(manifest)
+        back, _ = load_panel(path, region_map=region_map_for(source), year_range=(lo, hi))
         return (
             np.array_equal(back.country, source.country)
             and np.array_equal(back.year, source.year)

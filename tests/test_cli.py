@@ -14,6 +14,7 @@ import sys
 import threading
 from itertools import groupby
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import growthvol
-from growthvol.cli import main
-from growthvol.ingest import DatasetManifest, load_panel
+from growthvol.cli import _expand_strata, main
+from growthvol.ingest import load_panel
+from growthvol.panel import REGIONS
 from growthvol.synth import SynthSpec, generate
 
 TOY = str(importlib.resources.files("growthvol") / "data" / "toy_panel_31.csv")
@@ -54,14 +56,15 @@ def _load_json(path):
 
 def test_synth_round_trips_through_ingest(isolated_cwd):
     data, region_map = _synth()
-    panel, report = load_panel(DatasetManifest(
-        data_path=data, region_map_path=region_map,
-        year_min=1949, year_max=1969, panel_kind="balanced",
-    ))
-    assert report.countries == 12
+    panel, report = load_panel(data, region_map=region_map, year_range=(1949, 1969),
+                               balanced=True)
+    assert report["countries"] == 12
     reference = generate(SynthSpec(n_countries=12, n_years=20, seed=7))
-    # Data and derived columns survive the trip exactly; metadata is
-    # reassigned from the region map on the way back in.
+    # Data and derived columns survive the trip exactly; regions come from
+    # the companion map on the way back in.
+    assert panel.meta == {c: REGIONS[i % len(REGIONS)]
+                          for i, c in enumerate(reference.countries)}
+    assert set(reference.meta.values()) == {None}
     assert np.array_equal(panel.country, reference.country)
     assert np.array_equal(panel.year, reference.year)
     assert np.array_equal(panel.gdppc, reference.gdppc)
@@ -380,6 +383,39 @@ def test_year_range_must_run_forward_before_anything_runs(isolated_cwd, years):
               "--out", "out"])
     assert exit_info.value.code == 2
     assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "scale", "roll"])
+def test_negative_bootstrap_is_a_usage_error(isolated_cwd, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--data", TOY, "--bootstrap", "-5", "--out", "out"])
+    assert exit_info.value.code == 2
+    assert not Path("out").exists()
+
+
+def test_repeated_region_or_split_is_one_stratum():
+    def labels(regions, splits):
+        args = SimpleNamespace(region=regions, split=splits)
+        return [label for label, _, _ in _expand_strata(args)]
+
+    assert labels(None, ["developed", "both"]) == ["developed", "developing"]
+    assert labels(None, ["developing", "developing"]) == ["developing"]
+    assert labels(["LatinAmericaCaribbean", "all"], None) == [
+        "LatinAmericaCaribbean", "EuropeNorthAmerica", "EastEuropeCentralAsia",
+        "EastSouthAsiaPacific", "SubSaharanAfrica", "MiddleEastNorthAfrica"]
+    assert labels(["SubSaharanAfrica", "SubSaharanAfrica"], ["both", "developed"]) == [
+        "SubSaharanAfrica_developed", "SubSaharanAfrica_developing"]
+
+
+def test_repeated_split_fits_each_stratum_once(isolated_cwd):
+    data, region_map = _synth()
+    code = main(["fit", "--data", data, "--region-map", region_map,
+                 "--years", "1949:1969", "--split", "developed", "--split", "both",
+                 "--bootstrap", "0", "--out", "fitted"])
+    assert code == 0
+    with open("fitted/fit_table.csv", encoding="utf-8") as handle:
+        rows = list(csv.reader(line for line in handle if not line.startswith("#")))
+    assert [row[0] for row in rows[1:]] == ["developed", "developing"]
 
 
 def test_missing_data_file_reports_and_fails(isolated_cwd):

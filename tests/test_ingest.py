@@ -18,7 +18,6 @@ from growthvol.aep import AepParams, density
 from growthvol.ingest import (
     CENTURY_BALANCED_COUNTRIES,
     COUNTRY_ALIASES,
-    DatasetManifest,
     IngestError,
     bundled_region_map,
     canonical_name,
@@ -90,9 +89,8 @@ def test_rows_starting_with_hash_after_the_header_are_data(tmp_path):
     assert gdppc.tolist() == [5186.0, 100.0, 7.0]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _, report = load_panel(DatasetManifest(data_path=path, year_min=1950,
-                                               year_max=1951))
-    assert [d["country"] for d in report.dropped] == ["# note", "#Atlantis"]
+        _, report = load_panel(path, year_range=(1950, 1951))
+    assert [d["country"] for d in report["dropped"]] == ["# note", "#Atlantis"]
     assert len(caught) == 2
     path.write_text("country,year,gdppc\nFrance,1950,5186\n# see,the notes,below\n",
                     encoding="utf-8")
@@ -122,9 +120,8 @@ def test_duplicate_observation_reported(tmp_path):
     path.write_text(
         "country,year,gdppc\nFrance,1950,5186\nFrance,1950,5187\n", encoding="utf-8"
     )
-    manifest = DatasetManifest(data_path=path, year_min=1900, year_max=1999)
     with pytest.raises(ValueError, match="duplicate.*France.*1950"):
-        load_panel(manifest)
+        load_panel(path)
 
 
 def test_duplicate_long_row_is_located(tmp_path):
@@ -135,7 +132,7 @@ def test_duplicate_long_row_is_located(tmp_path):
         read_observations(path)
     assert (err.value.path, err.value.row, err.value.column) == (path, 4, "gdppc")
     with pytest.raises(IngestError, match=r"France in 1950, .*dup\.csv, row 4"):
-        load_panel(DatasetManifest(data_path=path, year_min=1950, year_max=1951))
+        load_panel(path, year_range=(1950, 1951))
 
 
 def test_duplicate_wide_year_row_is_located(tmp_path):
@@ -206,13 +203,13 @@ def test_aliases_normalize():
 
 
 def test_load_drops_unmapped_with_warning(wide_file):
-    manifest = DatasetManifest(data_path=wide_file, year_min=1950, year_max=1953)
     with pytest.warns(UserWarning, match="Atlantis"):
-        panel, report = load_panel(manifest)
+        panel, report = load_panel(wide_file, year_range=(1950, 1953))
     assert panel.countries == ["France", "Japan"]
-    assert report.countries == 2
-    assert {d["country"] for d in report.dropped} == {"Atlantis"}
-    assert report.years == (1950, 1953)
+    assert panel.meta == {"France": "EuropeNorthAmerica", "Japan": "EastSouthAsiaPacific"}
+    assert report == {"countries": 2, "years": [1950, 1953],
+                      "dropped": [{"country": "Atlantis", "reason": "not in region map"}],
+                      "balanced_members": 2}
 
 
 def test_unused_custom_map_entry_warns(long_file, tmp_path):
@@ -222,25 +219,18 @@ def test_unused_custom_map_entry_warns(long_file, tmp_path):
         "Atlantis,LatinAmericaCaribbean\n",
         encoding="utf-8",
     )
-    manifest = DatasetManifest(
-        data_path=long_file, region_map_path=map_path, year_min=1950, year_max=1951
-    )
     with pytest.warns(UserWarning, match="Atlantis"):
-        panel, report = load_panel(manifest)
+        panel, report = load_panel(long_file, region_map=map_path, year_range=(1950, 1951))
     assert panel.countries == ["France", "Japan"]
-    assert not report.dropped  # ignored map entries drop nothing
+    assert not report["dropped"]  # ignored map entries drop nothing
 
 
 def test_balanced_load(wide_file):
-    manifest = DatasetManifest(
-        data_path=wide_file, year_min=1950, year_max=1953, panel_kind="balanced"
-    )
     with pytest.warns(UserWarning):
-        panel, report = load_panel(manifest)
+        panel, report = load_panel(wide_file, year_range=(1950, 1953), balanced=True)
     # Atlantis is unmapped; France and Japan cover every year
     assert panel.countries == ["France", "Japan"]
-    assert report.balanced_members == 2
-    assert all(panel.meta[c].balanced_member for c in panel.countries)
+    assert report["balanced_members"] == 2
 
 
 def test_balanced_load_drops_partial_coverage(tmp_path):
@@ -251,30 +241,24 @@ def test_balanced_load_drops_partial_coverage(tmp_path):
         "Japan,1951,2110\n",
         encoding="utf-8",
     )
-    manifest = DatasetManifest(
-        data_path=path, year_min=1950, year_max=1951, panel_kind="balanced"
-    )
-    panel, report = load_panel(manifest)
+    panel, report = load_panel(path, year_range=(1950, 1951), balanced=True)
     assert panel.countries == ["France"]
-    assert {d["country"] for d in report.dropped} == {"Japan"}
-    assert report.to_json_dict()["balanced_members"] == 1
+    assert {d["country"] for d in report["dropped"]} == {"Japan"}
+    assert report["balanced_members"] == 1
 
 
 def test_year_window_applied(wide_file):
-    manifest = DatasetManifest(data_path=wide_file, year_min=1951, year_max=1952)
     with pytest.warns(UserWarning):
-        panel, _ = load_panel(manifest)
+        panel, _ = load_panel(wide_file, year_range=(1951, 1952))
     assert panel.span == (1951, 1952)
 
 
 def test_round_trip_exact(tmp_path, wide_file):
-    manifest = DatasetManifest(data_path=wide_file, year_min=1950, year_max=1953)
     with pytest.warns(UserWarning):
-        panel, _ = load_panel(manifest)
+        panel, _ = load_panel(wide_file, year_range=(1950, 1953))
     out = tmp_path / "normalized.csv"
     out.write_text(panel_to_long_csv(panel), encoding="utf-8")
-    manifest2 = DatasetManifest(data_path=out, year_min=1950, year_max=1953)
-    panel2, _ = load_panel(manifest2)
+    panel2, _ = load_panel(out, year_range=(1950, 1953))
     assert panel2 == panel
     # serialization itself is deterministic
     assert panel_to_long_csv(panel2) == panel_to_long_csv(panel)
@@ -286,15 +270,15 @@ def _write_csv(path, rows):
         csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
-def _load_with_map(path, countries, years):
-    """Load ``path`` with a custom region map naming ``countries``."""
+def _load_with_map(path, countries, years, balanced=False):
+    """Load ``path`` with a custom region map naming ``countries``: (panel, report)."""
     map_path = path.with_name("map.csv")
     _write_csv(map_path, [("country", "region"),
                           *((c, "SubSaharanAfrica") for c in countries)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # map entries for countries with no data
-        return load_panel(DatasetManifest(data_path=path, region_map_path=map_path,
-                                          year_min=years[0], year_max=years[-1]))[0]
+        return load_panel(path, region_map=map_path, year_range=(years[0], years[-1]),
+                          balanced=balanced)
 
 
 def _long_csv_round_trip(directory, countries, years, levels):
@@ -302,9 +286,9 @@ def _long_csv_round_trip(directory, countries, years, levels):
     keys = [(country, year) for country in countries for year in years]
     _write_csv(directory / "in.csv", [("country", "year", "gdppc"),
                                       *((c, y, repr(v)) for (c, y), v in zip(keys, levels))])
-    panel = _load_with_map(directory / "in.csv", countries, years)
+    panel = _load_with_map(directory / "in.csv", countries, years)[0]
     (directory / "out.csv").write_text(panel_to_long_csv(panel), encoding="utf-8")
-    return panel, _load_with_map(directory / "out.csv", countries, years)
+    return panel, _load_with_map(directory / "out.csv", countries, years)[0]
 
 
 def test_round_trip_awkward_floats(tmp_path):
@@ -362,17 +346,44 @@ def test_wide_and_long_layouts_load_to_equal_panels(case, data):
         _write_csv(long, [("country", "year", "gdppc"),
                           *((c, y, cell) for c in countries
                             for y, cell in by_country[c].items() if cell)])
-        from_wide = _load_with_map(wide, countries, years)
-        from_long = _load_with_map(long, countries, years)
+        from_wide = _load_with_map(wide, countries, years)[0]
+        from_long = _load_with_map(long, countries, years)[0]
     assert from_wide == from_long
     assert from_wide.gdppc.size == sum(present)
 
 
-def test_manifest_validation():
-    with pytest.raises(ValueError, match="year_min"):
-        DatasetManifest(data_path="x.csv", year_min=1999, year_max=1900)
-    with pytest.raises(ValueError, match="panel_kind"):
-        DatasetManifest(data_path="x.csv", panel_kind="huge")
+@settings(max_examples=60, deadline=None)
+@given(long_panels(), st.data())
+def test_balanced_load_keeps_exactly_the_countries_covering_the_range(case, data):
+    countries, years, levels = case
+    present = data.draw(st.lists(st.booleans(), min_size=len(levels),
+                                 max_size=len(levels)).filter(any))
+    keys = [(country, year) for country in countries for year in years]
+    rows = [(c, y, repr(v)) for (c, y), v, keep in zip(keys, levels, present) if keep]
+    observed = sorted({c for c, _, _ in rows})
+    covering = [c for c in observed if sum(c == row[0] for row in rows) == len(years)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "long.csv"
+        _write_csv(path, [("country", "year", "gdppc"), *rows])
+        panel, report = _load_with_map(path, countries, years)
+        assert panel.countries == observed
+        assert report["balanced_members"] == len(covering)
+        if not covering:
+            with pytest.raises(IngestError, match="balanced panel is empty"):
+                _load_with_map(path, countries, years, balanced=True)
+            return
+        panel, report = _load_with_map(path, countries, years, balanced=True)
+    assert panel.countries == covering
+    assert report["countries"] == report["balanced_members"] == len(covering)
+    assert [d["country"] for d in report["dropped"]] == [
+        c for c in observed if c not in covering]
+
+
+def test_manifest_validation(tmp_path):
+    # The range is checked before any file is opened: x.csv does not exist.
+    for year_range in [(1999, 1900), (1950, 1950)]:
+        with pytest.raises(ValueError, match="year_range must run forward"):
+            load_panel(tmp_path / "x.csv", year_range=year_range)
 
 
 @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "0", "0.0", "-5186"])
@@ -413,7 +424,7 @@ def test_bad_level_fails_load_with_location(tmp_path):
     path.write_text("country,year,gdppc\nFrance,1950,5186\nFrance,1951,nan\n",
                     encoding="utf-8")
     with pytest.raises(IngestError, match=r"bad\.csv, row 3, column 'gdppc'"):
-        load_panel(DatasetManifest(data_path=path, year_min=1950, year_max=1951))
+        load_panel(path, year_range=(1950, 1951))
 
 
 @pytest.mark.parametrize("row", ["1951,5452", "1951,5452,2110,17", "1951"])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from growthvol.panel import (
     REGIONS,
-    CountryMeta,
     GrowthPanel,
     build_growth_panel,
     demean_by_group,
@@ -164,12 +163,7 @@ def balanced_panel(n_countries=4, years=range(1990, 2000)):
         for y in years:
             level *= float(np.exp(rng.normal(0.02, 0.05)))
             rows.append((f"C{i}", y, level))
-    meta = {
-        "C0": CountryMeta("C0", region=REGIONS[0], balanced_member=True),
-        "C1": CountryMeta("C1", region=REGIONS[0], balanced_member=False),
-        "C2": CountryMeta("C2", region=REGIONS[3], balanced_member=True),
-        "C3": CountryMeta("C3", region=REGIONS[3], balanced_member=True),
-    }
+    meta = {"C0": REGIONS[0], "C1": REGIONS[0], "C2": REGIONS[3], "C3": REGIONS[3]}
     return build_growth_panel(make_obs(rows), meta=meta)
 
 
@@ -296,8 +290,7 @@ def test_demean_by_group_sums_to_zero_within_every_key(pairs):
 @given(rows=level_rows(), data=st.data())
 def test_stratify_filters_nest_in_any_order(rows, data):
     countries = sorted({c for c, _, _ in rows})
-    meta = {c: CountryMeta(c, region=data.draw(st.sampled_from(REGIONS[:2])))
-            for c in countries}
+    meta = {c: data.draw(st.sampled_from(REGIONS[:2])) for c in countries}
     panel = build_growth_panel(make_obs(rows), meta=meta)
     first = data.draw(st.integers(2000, 2011))
     filters = [

@@ -204,10 +204,27 @@ def test_alad_replicates_of_two_countries_identify_beta():
     # of all draws.
     panel = generate(SynthSpec(n_countries=2, n_years=20, beta=-0.3, seed=7))
     r_t, r_lag, s_lag, country, year = panel.ar1_pairs()
-    draws = _bootstrap_alad(r_t, r_lag, s_lag, country, year, 200, 0,
-                            tail_weights=(1.0, 1.0))
+    draws, varied = _bootstrap_alad(r_t, r_lag, s_lag, country, year, 200, 0,
+                                    tail_weights=(1.0, 1.0))
     assert 50 <= len(draws) < 150
     assert not np.any(draws[:, 2] == 0.0)
+    assert not varied  # every kept draw is the sample itself
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_alad_two_countries_report_no_errors(seed):
+    # With two countries every fitted draw is {C0, C1}, the sample itself,
+    # so the replicates' spread was rounding noise (se_beta about 1e-10)
+    # that flagged beta = -0.001 significant.  Three countries draw
+    # different samples and keep their errors.
+    two = fit_alad(generate(SynthSpec(n_countries=2, n_years=40, beta=0.0, seed=seed)),
+                   bootstrap=200)
+    assert two.n_bootstrap_used >= 100
+    assert two.se_beta is two.se_phi1 is two.se_gamma_or_alpha is None
+    assert two.significant_5pct is None
+    three = fit_alad(generate(SynthSpec(n_countries=3, n_years=40, beta=0.0, seed=seed)),
+                     bootstrap=200)
+    assert three.se_beta > 1e-3 and three.significant_5pct is not None
 
 
 # ------------------------------------------------------ ALAD location step

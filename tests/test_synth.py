@@ -98,11 +98,6 @@ def test_invalid_specs_rejected():
         SynthSpec(n_countries=3, size_profile=np.zeros(4))
 
 
-def test_balanced_metadata():
-    panel = generate(SynthSpec(n_countries=4, n_years=10, seed=2))
-    assert all(m.balanced_member for m in panel.meta.values())
-
-
 @pytest.mark.parametrize("seed", [17, 10001])
 def test_negative_beta_panels_stay_finite(seed):
     # With sizes unbounded in the volatility link, a shrinking country drew

@@ -10,8 +10,8 @@ checkout).  Each invocation runs as ``python -m growthvol.cli`` with
 first written into OUT, so that every path the artifacts record is the same
 whichever SRC ran: the bundled toy panel, its levels in the wide layout,
 the toy panel with one row given twice, and the toy panel with a row for a
-country named ``#Atlantis``, which no region map knows.  The exit code of each invocation
-goes to ``OUT/exit_codes.json``.
+country named ``#Atlantis``, which no region map knows.  The exit code of
+each invocation goes to ``OUT/exit_codes.json``.
 
 Two source trees produce the same artifacts when
 
@@ -19,7 +19,7 @@ Two source trees produce the same artifacts when
     python3 tools/artifact_battery.py after/src /tmp/after
     diff -r /tmp/before /tmp/after
 
-prints nothing.  The 16 invocations and four inputs leave 92 files in OUT,
+prints nothing.  The 19 invocations and four inputs leave 107 files in OUT,
 which must not exist yet.  The battery takes about 20 s on two CPUs.
 """
 
@@ -75,6 +75,17 @@ BATTERY = [
     # load_report.json, as a country missing from the region map.
     ("hash_row", ["scale", "--data", TOY_HASH_ROW, "--method", "binned",
                   "--split", "both", "--bins", "10"]),
+    # "both" repeats "developed": fit_table.csv lists each split once.
+    ("fit_split_repeated", ["fit", "--data", TOY, "--panel", "balanced",
+                            "--split", "developed", "--split", "both",
+                            "--bootstrap", "0", "--seed", "11"]),
+    # A negative replicate count is a usage error (exit 2), with no output.
+    ("negative_bootstrap", ["scale", "--data", TOY, "--bootstrap", "-1"]),
+    # Two countries per region: every fitted replicate draws both, so the
+    # ALAD errors and significance flag are null.
+    ("scale_synth_alad", ["scale", "--data", "synth_a/synth_panel.csv", *SYNTH,
+                          "--region", "all", "--method", "alad",
+                          "--bootstrap", "200", "--seed", "12"]),
 ]
 
 

@@ -86,10 +86,14 @@ def _parse_years(text: str) -> tuple[int, int]:
     return first, last
 
 
-def _parse_count(text: str) -> int:
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return int(text)
+def _count(floor: int):
+    """An argparse type for a decimal integer of at least ``floor``."""
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < floor:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {floor}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _parse_shock(text: str) -> AepParams:
@@ -265,6 +269,8 @@ def cmd_synth(args) -> int:
     fields = {}
     if args.spec_file:
         loaded = json.loads(Path(args.spec_file).read_text(encoding="utf-8"))
+        # The synth_spec.json a run writes holds its fields under "spec".
+        loaded = loaded.get("spec", loaded)
         if "shock" in loaded:
             loaded["shock"] = AepParams(**loaded["shock"])
         fields.update(loaded)
@@ -331,7 +337,7 @@ def _add_panel_arguments(sub):
 
 
 def _add_common_arguments(sub):
-    sub.add_argument("--bootstrap", type=_parse_count, default=200,
+    sub.add_argument("--bootstrap", type=_count(0), default=200,
                      help="bootstrap replicates for standard errors")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True, metavar="DIR")
@@ -360,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_panel_arguments(scale)
     scale.add_argument("--method", choices=("binned", "alad", "both"),
                        default="both")
-    scale.add_argument("--bins", type=int, default=15,
+    scale.add_argument("--bins", type=_count(3), default=15,
                        help="bins for the binned estimator")
     _add_common_arguments(scale)
     scale.set_defaults(run=cmd_scale)
@@ -368,9 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     rolling = commands.add_parser(
         "roll", help="re-estimate the scaling exponent on sliding windows")
     _add_panel_arguments(rolling)
-    rolling.add_argument("--window", type=int, default=10,
+    rolling.add_argument("--window", type=_count(2), default=10,
                          help="window length in growth years")
-    rolling.add_argument("--step", type=int, default=1)
+    rolling.add_argument("--step", type=_count(1), default=1)
     _add_common_arguments(rolling)
     rolling.set_defaults(run=cmd_roll)
 
@@ -387,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="laplace:A, gaussian:A, or aep:BL,BR,AL,AR")
     synth.add_argument("--start-year", type=int, default=None, dest="start_year")
     synth.add_argument("--spec-file", default=None, dest="spec_file",
-                       help="JSON with generator fields; flags override it")
+                       help="JSON with generator fields, bare or under 'spec' "
+                            "as in a written synth_spec.json; flags override it")
     synth.add_argument("--seed", type=int, default=None)
     synth.add_argument("--out", required=True, metavar="DIR")
     synth.set_defaults(run=cmd_synth)

@@ -133,9 +133,12 @@ def canonical_name(name: str) -> str:
 
 
 def _data_rows(path):
-    """Non-empty CSV rows with line numbers; '#' lines before the header are comments."""
+    """Non-empty CSV rows with line numbers; '#' lines before the header are comments.
+
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is dropped.
+    """
     in_preamble = True
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for line_no, row in enumerate(csv.reader(handle), start=1):
             if not row or (in_preamble and row[0].lstrip().startswith("#")):
                 continue
@@ -241,7 +244,8 @@ def read_observations(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             return row[1], [(canonical_name(row[0]), "gdppc", row[2])]
     else:
         raise IngestError("unrecognized header: expected a wide table starting with "
-                          "'year' or a long table starting with 'country'", path=path)
+                          "'year' or a long table starting with 'country'", path=path,
+                          row=header_line)
 
     first_row = {}  # (country, year) -> the row that gave it
     gdppc = []

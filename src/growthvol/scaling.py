@@ -17,14 +17,14 @@ Two estimators of the scale relation ln(sigma) ~ beta * s:
 
   whose location part is a weighted median regression (so residuals have
   zero weighted median by construction) and whose linear term identifies
-  beta through the scale Jacobian.  Optimization alternates two steps: an
-  exact weighted median regression for (alpha, phi1) at fixed beta, which
-  pivots a line through two observations, and a one-dimensional search on
-  the smooth, convex beta profile.  It finishes with an exact
-  weighted-quantile step for alpha.  Every accepted step must improve the
-  objective, so the recorded trace is non-increasing by construction.
-  Point fits and bootstrap replicates run the same optimizer with the same
-  stop.
+  beta through the scale Jacobian.  Each optimization round takes two
+  steps: an exact weighted median regression for (alpha, phi1) at fixed
+  beta, which pivots a line through two observations, then a
+  one-dimensional search on that line's smooth, convex beta profile.  A
+  round is kept only if it lowers the objective, and the first that does
+  not ends the fit, at a fixed point of the round; the recorded trace is
+  strictly decreasing.  Point fits and bootstrap replicates run the same
+  optimizer.
 
 Standard errors: classical OLS errors for the binned method (t-test with
 n_bins - 2 degrees of freedom); nonparametric bootstrap over whole countries
@@ -48,10 +48,6 @@ _BETA_BOUNDS = (-5.0, 5.0)
 _MIN_OCCUPANCY = 30  # fewest observations a size bin may hold
 # Normal critical value of the two-sided 5% test behind ``significant_5pct``.
 _CRITICAL_5PCT = float(ndtri(0.975))
-# The alternation ends once a round lowers the loss by less than this
-# fraction of (1 + loss), or after _MAX_ALTERNATIONS rounds.
-_ALTERNATION_TOL = 1e-8
-_MAX_ALTERNATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -193,64 +189,51 @@ def rescale_residuals(panel: GrowthPanel, beta: float):
     return demean_by_group(year, growth) / np.exp(beta * size)
 
 
-def _rho(residuals, tail_weights):
-    """Piecewise-linear loss: left/right tail weights times |residual|."""
-    w_left, w_right = tail_weights
-    return np.where(residuals >= 0.0, w_right, w_left) * np.abs(residuals)
-
-
-def _alad_loss(r_t, r_lag, s_lag, alpha, phi1, beta, tail_weights) -> float:
+def _alad_loss(r_t, r_lag, s_lag, alpha, phi1, beta) -> float:
     """The ALAD loss of the module docstring over arrays of AR(1) pairs."""
     residuals = r_t - alpha - phi1 * r_lag
-    return float(np.sum(beta * s_lag + _rho(residuals, tail_weights) * np.exp(-beta * s_lag)))
+    return float(np.sum(beta * s_lag + np.abs(residuals) * np.exp(-beta * s_lag)))
 
 
-def _weighted_quantile(values, weights, fraction):
-    """(v, i): the smallest v = values[i] with weight below or at v >= fraction of total."""
+def _weighted_median(values, weights):
+    """(v, i): the smallest v = values[i] with weight below or at v >= half the total."""
     order = np.argsort(values, kind="stable")
     cumulative = np.cumsum(weights[order])
-    position = int(np.searchsorted(cumulative, fraction * cumulative[-1], side="left"))
+    position = int(np.searchsorted(cumulative, 0.5 * cumulative[-1], side="left"))
     index = int(order[min(position, values.size - 1)])
     return float(values[index]), index
 
 
-def _exact_location(y, x, weights, tail_weights, start):
-    """(intercept, slope) minimizing sum of weights * rho(y - a - b x), exactly.
+def _exact_location(y, x, weights, start):
+    """(intercept, slope) minimizing sum of weights * |y - a - b x|, exactly.
 
     Some optimal line passes through two observations (Koenker & Bassett
-    1978).  At the start's slope the best intercept is a weighted quantile,
+    1978).  At the start's slope the best intercept is a weighted median,
     which puts the line through one observation j.  A pivot then turns the
     line about j to the best slope through j: with d = x - x[j], a line of
     slope b through j leaves residuals d * (t - b), where t = (y - y[j]) / d
-    are the slopes to the other observations, so its loss is a check loss in
-    b with weights w |d|, minimized by a weighted quantile of t.  That line
-    passes through a second observation k, about which the next pivot turns.
-    The walk stops when a pivot no longer lowers the loss: the line is then
-    optimal when turned about either of its two observations, which for
-    observations in general position (no three on one line) makes it a
+    are the slopes to the other observations, so its loss is an absolute
+    loss in b with weights w |d|, minimized by a weighted median of t.  That
+    line passes through a second observation k, about which the next pivot
+    turns.  The walk stops when a pivot no longer lowers the loss: the line
+    is then optimal when turned about either of its two observations, which
+    for observations in general position (no three on one line) makes it a
     minimum.  A constant regressor leaves the slope unidentified, and the
     start comes back.
     """
     if np.ptp(x) == 0.0:
         return start
-    w_left, w_right = tail_weights
 
     def pivot(j):
         """(a, b, loss, k) of the best line through observation j and another, k."""
         others = np.flatnonzero(x != x[j])
         d = x[others] - x[j]
-        spread = weights[others] * np.abs(d)
-        # Left of j a positive residual means a slope below b, so the tail
-        # weights swap sides there.
-        below = w_right * spread[d > 0.0].sum() + w_left * spread[d < 0.0].sum()
-        slope, k = _weighted_quantile(
-            (y[others] - y[j]) / d, spread, below / ((w_left + w_right) * spread.sum())
-        )
+        slope, k = _weighted_median((y[others] - y[j]) / d, weights[others] * np.abs(d))
         intercept = float(y[j] - slope * x[j])
-        loss = float(weights @ _rho(y - intercept - slope * x, tail_weights))
+        loss = float(weights @ np.abs(y - intercept - slope * x))
         return intercept, slope, loss, int(others[k])
 
-    _, j = _weighted_quantile(y - start[1] * x, weights, w_right / (w_left + w_right))
+    _, j = _weighted_median(y - start[1] * x, weights)
     a, b, best, j = pivot(j)
     while True:
         intercept, slope, candidate, k = pivot(j)
@@ -259,13 +242,7 @@ def _exact_location(y, x, weights, tail_weights, start):
         a, b, best, j = intercept, slope, candidate, k
 
 
-def fit_alad(
-    panel: GrowthPanel,
-    *,
-    bootstrap: int = 200,
-    seed=0,
-    tail_weights: tuple[float, float] = (1.0, 1.0),
-) -> ScalingFit:
+def fit_alad(panel: GrowthPanel, *, bootstrap: int = 200, seed=0) -> ScalingFit:
     """Fit the heteroskedastic AR(1) by asymmetric least absolute deviation.
 
     Parameters
@@ -284,16 +261,12 @@ def fit_alad(
         spread of such replicates is rounding noise, not sampling error.
     seed : int or sequence of ints
         Root of the deterministic per-replicate RNG streams.
-    tail_weights : (float, float)
-        Loss weights for negative/positive residuals.  (1, 1) is the
-        symmetric least-absolute-deviation kernel; unequal weights fit an
-        asymmetric kernel (residual quantile other than the median).
 
     Returns
     -------
     ScalingFit with method "alad"; ``trace`` holds the accepted objective
-    values, non-increasing by construction; ``n_bootstrap_used`` counts the
-    replicates fitted (draws without size variation are skipped).
+    values, strictly decreasing by construction; ``n_bootstrap_used``
+    counts the replicates fitted (draws without size variation are skipped).
     """
     r_t, r_lag, s_lag, country, year = panel.ar1_pairs()
     n = r_t.size
@@ -301,12 +274,11 @@ def fit_alad(
         raise ValueError(f"need at least 6 consecutive-year pairs, got {n}")
     if float(np.std(s_lag)) < 1e-12:
         raise ValueError("all sizes are equal; beta is unidentified")
-    alpha, phi1, beta, trace = _fit_alad_arrays(r_t, r_lag, s_lag, tail_weights)
+    alpha, phi1, beta, trace = _fit_alad_arrays(r_t, r_lag, s_lag)
 
     se_alpha = se_phi1 = se_beta = None
     significant = None
-    draws, varied = _bootstrap_alad(r_t, r_lag, s_lag, country, year, bootstrap, seed,
-                                    tail_weights=tail_weights)
+    draws, varied = _bootstrap_alad(r_t, r_lag, s_lag, country, year, bootstrap, seed)
     if varied and len(draws) >= max(10, bootstrap // 2):
         se_alpha, se_phi1, se_beta = (float(v) for v in np.std(draws, axis=0, ddof=1))
         significant = bool(abs(beta) / se_beta > _CRITICAL_5PCT) if se_beta > 0 else True
@@ -327,54 +299,33 @@ def fit_alad(
     )
 
 
-def _fit_alad_arrays(r_t, r_lag, s_lag, tail_weights):
-    """Core ALAD optimizer on raw arrays; returns (alpha, phi1, beta, trace)."""
-    w_left, w_right = tail_weights
-    if w_left <= 0.0 or w_right <= 0.0:
-        raise ValueError(f"tail weights must be positive, got {tail_weights!r}")
-    below_fraction = w_right / (w_left + w_right)
+def _fit_alad_arrays(r_t, r_lag, s_lag):
+    """Core ALAD optimizer on raw arrays; returns (alpha, phi1, beta, trace).
 
-    def objective(alpha, phi1, beta):
-        return _alad_loss(r_t, r_lag, s_lag, alpha, phi1, beta, tail_weights)
-
+    Each round fits the line exactly at the current beta, warm-started from
+    the current line, then searches beta on that line's residuals.  A round
+    is kept only if it lowers the loss, and the first that does not ends the
+    fit: the line is then optimal at the final beta.  The loop always ends,
+    because beta depends only on the line, finitely many lines pass through
+    two observations, and the loss strictly falls, so no state repeats.
+    """
     alpha, phi1, beta = float(np.median(r_t)), 0.0, 0.0
-    best = objective(alpha, phi1, beta)
+    best = _alad_loss(r_t, r_lag, s_lag, alpha, phi1, beta)
     trace = [best]
+    while True:
+        a, p = _exact_location(r_t, r_lag, np.exp(-beta * s_lag), (alpha, phi1))
+        residuals = np.abs(r_t - a - p * r_lag)
 
-    for _ in range(_MAX_ALTERNATIONS):
-        previous = best
-        weights = np.exp(-beta * s_lag)
-        a_new, p_new = _exact_location(r_t, r_lag, weights, tail_weights, (alpha, phi1))
-        candidate = objective(a_new, p_new, beta)
-        if candidate < best:
-            alpha, phi1, best = a_new, p_new, candidate
+        def beta_profile(trial):
+            return float(np.sum(trial * s_lag + residuals * np.exp(-trial * s_lag)))
 
-        residual_loss = _rho(r_t - alpha - phi1 * r_lag, tail_weights)
-
-        def beta_profile(b):
-            return float(np.sum(b * s_lag + residual_loss * np.exp(-b * s_lag)))
-
-        result = minimize_scalar(beta_profile, bounds=_BETA_BOUNDS, method="bounded",
-                                 options={"xatol": 1e-10})
-        candidate = objective(alpha, phi1, float(result.x))
-        if candidate < best:
-            beta, best = float(result.x), candidate
-
+        b = float(minimize_scalar(beta_profile, bounds=_BETA_BOUNDS, method="bounded",
+                                  options={"xatol": 1e-10}).x)
+        candidate = _alad_loss(r_t, r_lag, s_lag, a, p, b)
+        if not candidate < best:
+            return alpha, phi1, beta, trace
+        alpha, phi1, beta, best = a, p, b, candidate
         trace.append(best)
-        if previous - best < _ALTERNATION_TOL * (1.0 + abs(best)):
-            break
-
-    # Exact location step: the weighted quantile minimizes the loss in alpha
-    # outright, guaranteeing first-order optimality of the median fit.
-    alpha_exact, _ = _weighted_quantile(
-        r_t - phi1 * r_lag, np.exp(-beta * s_lag), below_fraction
-    )
-    candidate = objective(alpha_exact, phi1, beta)
-    if candidate <= best:
-        alpha, best = alpha_exact, candidate
-        trace.append(best)
-
-    return float(alpha), float(phi1), float(beta), trace
 
 
 def _seed_entropy(seed) -> list[int]:
@@ -383,8 +334,7 @@ def _seed_entropy(seed) -> list[int]:
     return [int(s) for s in seed]
 
 
-def _bootstrap_alad(r_t, r_lag, s_lag, country, year, n_replicates, seed, *,
-                    tail_weights):
+def _bootstrap_alad(r_t, r_lag, s_lag, country, year, n_replicates, seed):
     """Country-resampled replicate estimates and whether their draws differ.
 
     Returns one (alpha, phi1, beta) row per fitted replicate, and whether
@@ -418,7 +368,7 @@ def _bootstrap_alad(r_t, r_lag, s_lag, country, year, n_replicates, seed, *,
         # over 40 synthetic 10-year windows (SynthSpec(beta=-0.2), seeds
         # 100-107), 39 warm/cold se_beta ratios were at most 1.00003, with
         # mean 0.9984.
-        alpha, phi1, beta, _ = _fit_alad_arrays(r_t[idx], r_lag[idx], sizes, tail_weights)
+        alpha, phi1, beta, _ = _fit_alad_arrays(r_t[idx], r_lag[idx], sizes)
         draws.append((alpha, phi1, beta))
         drawn.add(tuple(sorted(chosen.tolist())))
     return np.reshape(draws, (-1, 3)), len(drawn) > 1

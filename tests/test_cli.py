@@ -109,6 +109,20 @@ def test_synth_spec_file_with_flag_overrides(isolated_cwd, tmp_path):
     assert written["shock"]["a_l"] == 0.03
 
 
+def test_synth_spec_file_reads_back_a_written_spec(isolated_cwd):
+    _synth(out="first", extra=("--beta", "-0.3", "--shock", "aep:0.8,1.2,0.03,0.04"))
+    code = main(["synth", "--spec-file", "first/synth_spec.json", "--out", "second"])
+    assert code == 0
+    assert not Path("second/errors.json").exists()
+    first, second = (Path(out, "synth_panel.csv").read_text(encoding="utf-8")
+                     for out in ("first", "second"))
+    # Only the leading config line, which records each run's own flags, differs.
+    assert first.startswith("# config: ") and second.startswith("# config: ")
+    assert first.split("\n", 1)[1] == second.split("\n", 1)[1]
+    spec = _load_json("first/synth_spec.json")["spec"]
+    assert _load_json("second/synth_spec.json")["spec"] == spec
+
+
 # ---------------------------------------------------------------------- fit
 
 
@@ -389,6 +403,21 @@ def test_year_range_must_run_forward_before_anything_runs(isolated_cwd, years):
 def test_negative_bootstrap_is_a_usage_error(isolated_cwd, command):
     with pytest.raises(SystemExit) as exit_info:
         main([command, "--data", TOY, "--bootstrap", "-5", "--out", "out"])
+    assert exit_info.value.code == 2
+    assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scale", "--bins", "2"],
+    ["roll", "--window", "1"],
+    ["roll", "--step", "0"],
+    ["scale", "--bootstrap", "-1"],
+], ids=["bins_2", "window_1", "step_0", "bootstrap_-1"])
+def test_out_of_range_count_is_a_usage_error(isolated_cwd, argv):
+    # Rejected while parsing, before the panel loads: no stratum runs and
+    # nothing, errors.json included, is written.
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--data", TOY, "--out", "out"])
     assert exit_info.value.code == 2
     assert not Path("out").exists()
 

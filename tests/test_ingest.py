@@ -80,6 +80,32 @@ def test_read_long(long_file):
     assert year.dtype.kind == "i"
 
 
+@pytest.mark.parametrize("text", [LONG, WIDE, WIDE.split("\n", 1)[1]],
+                         ids=["long", "wide", "wide_without_comment"])
+def test_leading_byte_order_mark_is_dropped(tmp_path, text):
+    # Spreadsheet "CSV UTF-8" exports start the file with a byte-order mark.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    for column, expected in zip(read_observations(marked), read_observations(plain)):
+        np.testing.assert_array_equal(column, expected)
+
+
+def test_region_map_with_byte_order_mark(tmp_path):
+    path = tmp_path / "regions.csv"
+    path.write_text("country,region\nFrance,EuropeNorthAmerica\n", encoding="utf-8-sig")
+    assert validate_region_map(path) == {"France": "EuropeNorthAmerica"}
+
+
+def test_unrecognized_header_is_located(tmp_path):
+    path = tmp_path / "levels.csv"
+    path.write_text("# notes\n\nnation,year,gdppc\nFrance,1950,5186\n", encoding="utf-8")
+    with pytest.raises(IngestError, match="unrecognized header") as err:
+        read_observations(path)
+    assert err.value.row == 3
+
+
 def test_rows_starting_with_hash_after_the_header_are_data(tmp_path):
     path = tmp_path / "long.csv"
     path.write_text("# notes\n  # more notes\ncountry,year,gdppc\nFrance,1950,5186\n"

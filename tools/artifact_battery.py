@@ -9,9 +9,10 @@ checkout).  Each invocation runs as ``python -m growthvol.cli`` with
 ``PYTHONPATH=SRC``, inside OUT, into its own subdirectory.  The inputs are
 first written into OUT, so that every path the artifacts record is the same
 whichever SRC ran: the bundled toy panel, its levels in the wide layout,
-the toy panel with one row given twice, and the toy panel with a row for a
-country named ``#Atlantis``, which no region map knows.  The exit code of
-each invocation goes to ``OUT/exit_codes.json``.
+the toy panel with one row given twice, the toy panel with a row for a
+country named ``#Atlantis``, which no region map knows, and the toy panel
+behind a UTF-8 byte-order mark.  The exit code of each invocation goes to
+``OUT/exit_codes.json``.
 
 Two source trees produce the same artifacts when
 
@@ -19,7 +20,7 @@ Two source trees produce the same artifacts when
     python3 tools/artifact_battery.py after/src /tmp/after
     diff -r /tmp/before /tmp/after
 
-prints nothing.  The 19 invocations and four inputs leave 107 files in OUT,
+prints nothing.  The 22 invocations and five inputs leave 116 files in OUT,
 which must not exist yet.  The battery takes about 20 s on two CPUs.
 """
 
@@ -37,6 +38,7 @@ TOY = "toy_panel_31.csv"
 TOY_WIDE = "toy_panel_31_wide.csv"
 TOY_DUPLICATE = "toy_panel_31_duplicate.csv"
 TOY_HASH_ROW = "toy_panel_31_hash_row.csv"
+TOY_BOM = "toy_panel_31_bom.csv"
 SYNTH = ["--region-map", "synth_a/synth_region_map.csv", "--years", "1949:1969"]
 # (output directory, subcommand and its arguments; --out is added).  Order
 # matters: the synthetic-panel runs read what synth_a writes.
@@ -86,12 +88,21 @@ BATTERY = [
     ("scale_synth_alad", ["scale", "--data", "synth_a/synth_panel.csv", *SYNTH,
                           "--region", "all", "--method", "alad",
                           "--bootstrap", "200", "--seed", "12"]),
+    # The spec synth_b wrote, read back: the same panel, and only the config
+    # line of each file differs from synth_b's.
+    ("synth_spec_roundtrip", ["synth", "--spec-file", "synth_b/synth_spec.json"]),
+    # The scale_* files equal scale_binned_split's apart from the config.
+    ("scale_binned_bom", ["scale", "--data", TOY_BOM, "--method", "binned",
+                          "--split", "both", "--bins", "10"]),
+    # Too few bins for a slope and its error: a usage error (exit 2).
+    ("bins_too_few", ["scale", "--data", TOY, "--bins", "2"]),
 ]
 
 
 def write_inputs(toy: Path, out: Path) -> None:
-    """Copy the toy panel into OUT and write its wide, duplicate-row and '#'-row variants."""
+    """Copy the toy panel into OUT and write its wide, duplicate-row, '#'-row and BOM variants."""
     shutil.copyfile(toy, out / TOY)
+    (out / TOY_BOM).write_bytes(b"\xef\xbb\xbf" + toy.read_bytes())
     with open(toy, newline="", encoding="utf-8") as handle:
         rows = [row for row in csv.reader(handle) if not row[0].startswith("#")]
     header, body = rows[0], rows[1:]

@@ -56,7 +56,7 @@ fit_a = fit_alad(panel, bootstrap=200, seed=0)
 print(f"ALAD AR(1):  beta = {fit_a.beta:+.4f}  (se {fit_a.se_beta:.4f}, "
       f"{'significant' if fit_a.significant_5pct else 'not significant'})")
 print(f"             phi1 = {fit_a.phi1:+.4f}  (se {fit_a.se_phi1:.4f})")
-print(f"             alpha = {fit_a.gamma_or_alpha:+.4f}")
+print(f"             alpha = {fit_a.alpha_or_gamma:+.4f}")
 print("generating value: beta = -0.1800")
 
 # ----------------------------------------------------------------------------

@@ -52,7 +52,7 @@ print(f"persistence (truth {spec.phi1:+.3f}):  phi1 = {alad.phi1:+.4f} "
 #     eps_hat(i,t) = (r - alpha_hat - phi1_hat * r_lag) / exp(beta_hat * s_lag)
 
 r_t, r_lag, s_lag, _, _ = panel.ar1_pairs()
-innovations = (r_t - alad.gamma_or_alpha - alad.phi1 * r_lag) / np.exp(
+innovations = (r_t - alad.alpha_or_gamma - alad.phi1 * r_lag) / np.exp(
     alad.beta * s_lag)
 shock_fit = fit_aep(innovations, bootstrap_fallback=0)
 q = shock_fit.params

@@ -18,12 +18,13 @@ optimizers are unreliable on such surfaces, so the fit proceeds in stages:
    (ties and comparisons resolved in a fixed order, so results do not depend
    on evaluation scheduling);
 4. polish the Nelder-Mead solution, which is only reliable to about 1e-6 in
-   the parameters, by coordinate rounds of an analytic-gradient quasi-Newton
-   step in the four shape/scale coordinates (the likelihood is smooth in
-   them at fixed mode) and a bracketed one-dimensional refinement of the
-   mode.  This pins the optimum to near machine precision, so equal samples
-   presented on different scales return equal parameters to well below the
-   1e-6 the equivariance contract requires.
+   the parameters, by coordinate rounds of a quasi-Newton step in the four
+   shape/scale coordinates (the likelihood is smooth in them at fixed mode,
+   and ``_negll`` returns its gradient there alongside the value) and a
+   bracketed one-dimensional refinement of the mode.  This pins the optimum
+   to near machine precision, so equal samples presented on different
+   scales return equal parameters to well below the 1e-6 the equivariance
+   contract requires.
 
 Shapes and scales are optimized in log space, which enforces positivity and
 makes the surface better conditioned.
@@ -107,27 +108,24 @@ class AepFit:
     loglik: float
     n: int
     converged: bool
-    n_restarts_used: int
     se_method: str | None
     # Bootstrap replicates that stopped on maxiter/maxfev rather than on the
     # tolerances; 0 when no bootstrap ran.
     n_bootstrap_unconverged: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            **asdict(self.params),
-            "se": dict(self.std_errors) if self.std_errors is not None else None,
-            "loglik": self.loglik,
-            "n": self.n,
-            "converged": self.converged,
-            "se_method": self.se_method,
-            "n_restarts_used": self.n_restarts_used,
-            "n_bootstrap_unconverged": self.n_bootstrap_unconverged,
-        }
+        payload = asdict(self)
+        payload.update(payload.pop("params"), se=payload.pop("std_errors"))
+        return payload
 
 
-def _negll(theta, z_sorted):
+def _negll(theta, z_sorted, gradient=False):
     """Negative log-likelihood on standardized, ascending-sorted data.
+
+    With ``gradient=True`` it returns (value, gradient), the gradient taken
+    in the four log shape/scale coordinates at fixed mode, where the
+    objective is infinitely differentiable; a rejected point gives (inf,
+    zeros).  This is what lets ``_polish`` take quasi-Newton steps.
 
     This is the optimizers' inner loop, called hundreds of thousands of times
     per bootstrapped fit, so its fixed cost is kept low: scalar checks use
@@ -138,22 +136,38 @@ def _negll(theta, z_sorted):
     """
     lbl, lbr, lal, lar, m = theta
     if not (isfinite(lbl) and isfinite(lbr) and isfinite(lal) and isfinite(lar)
-            and isfinite(m)):
-        return np.inf
-    if max(abs(lbl), abs(lbr)) > _LOG_SHAPE_CAP or max(abs(lal), abs(lar)) > _LOG_SCALE_CAP:
-        return np.inf
+            and isfinite(m) and max(abs(lbl), abs(lbr)) <= _LOG_SHAPE_CAP
+            and max(abs(lal), abs(lar)) <= _LOG_SCALE_CAP):
+        return (np.inf, np.zeros(4)) if gradient else np.inf
     b_l, b_r = np.exp(lbl), np.exp(lbr)
     a_l, a_r = np.exp(lal), np.exp(lar)
     k = z_sorted.searchsorted(m, side="right")
-    s_left = (((m - z_sorted[:k]) / a_l) ** b_l).sum() / b_l
-    s_right = (((z_sorted[k:] - m) / a_r) ** b_r).sum() / b_r
+    u_l, u_r = (m - z_sorted[:k]) / a_l, (z_sorted[k:] - m) / a_r
+    p_l, p_r = u_l**b_l, u_r**b_r
+    sum_l, sum_r = p_l.sum(), p_r.sum()
     inv_l, inv_r = np.exp(-lbl), np.exp(-lbr)
-    log_norm = np.logaddexp(
-        lal + lbl * inv_l + gammaln(1.0 + inv_l),
-        lar + lbr * inv_r + gammaln(1.0 + inv_r),
-    )
-    value = z_sorted.size * log_norm + s_left + s_right
-    return value if isfinite(value) else np.inf
+    t_l = lal + lbl * inv_l + gammaln(1.0 + inv_l)
+    t_r = lar + lbr * inv_r + gammaln(1.0 + inv_r)
+    log_norm = np.logaddexp(t_l, t_r)
+    n = z_sorted.size
+    value = n * log_norm + sum_l / b_l + sum_r / b_r
+    if not isfinite(value):
+        return (np.inf, np.zeros(4)) if gradient else np.inf
+    if not gradient:
+        return value
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # u^b * log(u) -> 0 as u -> 0, so zero observations drop out.
+        plog_l = np.where(u_l > 0.0, p_l * np.log(u_l), 0.0).sum()
+        plog_r = np.where(u_r > 0.0, p_r * np.log(u_r), 0.0).sum()
+    # The probability mass on each side of the mode.
+    w_l, w_r = np.exp(t_l - log_norm), np.exp(t_r - log_norm)
+    grad = np.array([
+        n * w_l * (inv_l * (1.0 - lbl - digamma(1.0 + inv_l))) + plog_l - sum_l / b_l,
+        n * w_r * (inv_r * (1.0 - lbr - digamma(1.0 + inv_r))) + plog_r - sum_r / b_r,
+        n * w_l - sum_l,
+        n * w_r - sum_r,
+    ])
+    return float(value), grad
 
 
 class _BudgetSpent(Exception):
@@ -289,45 +303,7 @@ def _refine(z_sorted, theta0):
     value, x, success = _nelder_mead(_negll, best_x, (z_sorted,), **_REFINE_OPTIONS)
     if value < best_fun:
         best_fun, best_x, best_success = value, x, success
-    return best_fun, best_x, best_success, len(starts) - 1
-
-
-def _negll_smooth(theta4, m, z_sorted):
-    """Negative log-likelihood and its gradient in the smooth coordinates.
-
-    At fixed mode the objective is infinitely differentiable in the four
-    log shape/scale coordinates, with a short closed-form gradient; this is
-    what lets the final polish use a quasi-Newton step.
-    """
-    lbl, lbr, lal, lar = theta4
-    b_l, b_r = np.exp(lbl), np.exp(lbr)
-    a_l, a_r = np.exp(lal), np.exp(lar)
-    n = z_sorted.size
-    k = np.searchsorted(z_sorted, m, side="right")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        u_l = (m - z_sorted[:k]) / a_l
-        u_r = (z_sorted[k:] - m) / a_r
-        p_l, p_r = u_l**b_l, u_r**b_r
-        sum_l, sum_r = float(np.sum(p_l)), float(np.sum(p_r))
-        # u^b * log(u) -> 0 as u -> 0, so zero observations drop out.
-        plog_l = float(np.sum(np.where(u_l > 0.0, p_l * np.log(u_l), 0.0)))
-        plog_r = float(np.sum(np.where(u_r > 0.0, p_r * np.log(u_r), 0.0)))
-    t_l = lal + lbl * np.exp(-lbl) + gammaln(1.0 + np.exp(-lbl))
-    t_r = lar + lbr * np.exp(-lbr) + gammaln(1.0 + np.exp(-lbr))
-    log_norm = np.logaddexp(t_l, t_r)
-    w_l, w_r = np.exp(t_l - log_norm), np.exp(t_r - log_norm)
-    value = n * log_norm + sum_l / b_l + sum_r / b_r
-    if not np.isfinite(value):
-        return np.inf, np.zeros(4)
-    dt_lbl = np.exp(-lbl) * (1.0 - lbl - digamma(1.0 + np.exp(-lbl)))
-    dt_lbr = np.exp(-lbr) * (1.0 - lbr - digamma(1.0 + np.exp(-lbr)))
-    grad = np.array([
-        n * w_l * dt_lbl + plog_l - sum_l / b_l,
-        n * w_r * dt_lbr + plog_r - sum_r / b_r,
-        n * w_l - sum_l,
-        n * w_r - sum_r,
-    ])
-    return float(value), grad
+    return best_fun, best_x, best_success
 
 
 _SMOOTH_BOUNDS = [(-_LOG_SHAPE_CAP, _LOG_SHAPE_CAP)] * 2 + [
@@ -343,8 +319,8 @@ def _polish(z_sorted, theta_hat):
     value = _negll(theta, z_sorted)
     for _ in range(_POLISH_ROUNDS):
         res = minimize(
-            _negll_smooth, theta[:4], args=(theta[4], z_sorted),
-            jac=True, method="L-BFGS-B", bounds=_SMOOTH_BOUNDS,
+            lambda t4, m: _negll((*t4, m), z_sorted, gradient=True), theta[:4],
+            args=(theta[4],), jac=True, method="L-BFGS-B", bounds=_SMOOTH_BOUNDS,
             options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 200},
         )
         if np.isfinite(res.fun) and res.fun <= value:
@@ -477,7 +453,7 @@ def fit_aep(
     # for the whole fit, rather than on every likelihood call.
     with np.errstate(over="ignore"):
         _, theta4, m0 = _profile_mode(z)
-        fun, theta_hat, success, n_restarts = _refine(z, np.append(theta4, m0))
+        fun, theta_hat, success = _refine(z, np.append(theta4, m0))
         fun, theta_hat = _polish(z, theta_hat)
         converged = bool(success) and bool(np.isfinite(fun))
         params = _to_natural(theta_hat, loc, scale, mirrored)
@@ -518,7 +494,6 @@ def fit_aep(
         loglik=loglik,
         n=int(x.size),
         converged=converged,
-        n_restarts_used=n_restarts,
         se_method=se_method,
         n_bootstrap_unconverged=n_unconverged,
     )
@@ -531,11 +506,15 @@ def _bootstrap_se(z_sorted, theta_hat, loc, scale, mirrored, n_replicates, seed)
     spread to measure (the wall holds it, not the data); its error is None
     rather than a spurious zero.  So is the mode's when every replicate
     returns it to within a few ulps: a spread of rounding error measures
-    the arithmetic, not the sample.
+    the arithmetic, not the sample.  A spread needs two draws, so with
+    fewer replicates every error is None and none runs.
 
     Returns the errors by parameter name and the number of replicates that
     stopped on an iteration or evaluation limit instead of converging.
     """
+    names = ("b_l", "b_r", "a_l", "a_r", "m")
+    if n_replicates < 2:
+        return dict.fromkeys(names), 0
     draws = np.empty((n_replicates, 5))
     no_spread = np.ones(5, dtype=bool)
     n_unconverged = 0
@@ -555,7 +534,7 @@ def _bootstrap_se(z_sorted, theta_hat, loc, scale, mirrored, n_replicates, seed)
     no_spread[4] = spread[4] <= 16 * np.spacing(abs(m_hat))
     errors = {
         name: None if no_spread[i] else float(spread[i])
-        for i, name in enumerate(("b_l", "b_r", "a_l", "a_r", "m"))
+        for i, name in enumerate(names)
     }
     return errors, n_unconverged
 
@@ -601,6 +580,5 @@ def fit_special(sample, family: str) -> AepFit:
         loglik=loglik,
         n=int(n),
         converged=True,
-        n_restarts_used=0,
         se_method="closed_form",
     )

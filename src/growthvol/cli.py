@@ -60,7 +60,8 @@ def _write(path: Path, config: dict, body) -> None:
     in the target directory, which is then renamed over ``path``.
     """
     if isinstance(body, dict):
-        text = json.dumps({"config": config, **body}, indent=2, sort_keys=True) + "\n"
+        text = json.dumps({"config": config, **body}, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
     else:
         text = f"# config: {json.dumps(config, sort_keys=True)}\n{body}"
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -339,7 +340,7 @@ def _add_panel_arguments(sub):
 def _add_common_arguments(sub):
     sub.add_argument("--bootstrap", type=_count(0), default=200,
                      help="bootstrap replicates for standard errors")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_count(0), default=0)
     sub.add_argument("--out", required=True, metavar="DIR")
     sub.add_argument("--jobs", type=int, default=1,
                      help="accepted for compatibility and ignored: strata "
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--spec-file", default=None, dest="spec_file",
                        help="JSON with generator fields, bare or under 'spec' "
                             "as in a written synth_spec.json; flags override it")
-    synth.add_argument("--seed", type=int, default=None)
+    synth.add_argument("--seed", type=_count(0), default=None)
     synth.add_argument("--out", required=True, metavar="DIR")
     synth.set_defaults(run=cmd_synth)
     return parser

@@ -129,6 +129,6 @@ def rolling_csv(series: RollingSeries) -> str:
                          e.n_pairs, None])
         else:
             rows.append([e.start_year, e.end_year, f.beta, f.se_beta, f.phi1,
-                         f.se_phi1, f.gamma_or_alpha, f.n_obs, f.significant_5pct])
+                         f.se_phi1, f.alpha_or_gamma, f.n, f.significant_5pct])
     return table_csv(["window_start", "window_end", "beta", "se_beta", "phi1",
                       "se_phi1", "alpha", "n", "significant"], rows)

@@ -35,7 +35,7 @@ significance rule: rolling windows report it as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -54,7 +54,7 @@ _CRITICAL_5PCT = float(ndtri(0.975))
 class BinStat:
     """One size bin: its index, mean size, growth-rate dispersion, and count."""
 
-    bin_index: int
+    bin: int
     mean_size: float
     sigma: float
     count: int
@@ -64,20 +64,21 @@ class BinStat:
 class ScalingFit:
     """Estimated scale relation from either method.
 
-    ``gamma_or_alpha`` is the binned regression's intercept gamma or the
-    ALAD constant alpha.  ``phi1`` and its error are None for the binned
-    method.  ``trace`` records the ALAD objective after each accepted
-    optimization stage.  ``n_bootstrap_requested`` and ``n_bootstrap_used``
-    count the ALAD bootstrap replicates asked for and fitted; both are None
-    for the binned method.
+    Each field is named as its key in the JSON artifact.
+    ``alpha_or_gamma`` is the ALAD constant alpha or the binned regression's
+    intercept gamma.  ``phi1`` and its error are None for the binned method.
+    ``trace`` records the ALAD objective after each accepted optimization
+    round, and is empty for the binned method.  ``n_bootstrap_requested``
+    and ``n_bootstrap_used`` count the ALAD bootstrap replicates asked for
+    and fitted; both are None for the binned method.
     """
 
     method: str
     beta: float
-    gamma_or_alpha: float
+    alpha_or_gamma: float
     se_beta: float | None
-    se_gamma_or_alpha: float | None
-    n_obs: int
+    se_alpha_or_gamma: float | None
+    n: int
     significant_5pct: bool | None
     phi1: float | None = None
     se_phi1: float | None = None
@@ -86,29 +87,11 @@ class ScalingFit:
     trace: list[float] = field(default_factory=list, repr=False)
 
     def to_json_dict(self, bins: list[BinStat] | None = None) -> dict:
-        return {
-            "method": self.method,
-            "beta": self.beta,
-            "se_beta": self.se_beta,
-            "alpha_or_gamma": self.gamma_or_alpha,
-            "se_alpha_or_gamma": self.se_gamma_or_alpha,
-            "phi1": self.phi1,
-            "se_phi1": self.se_phi1,
-            "n": self.n_obs,
-            "significant_5pct": self.significant_5pct,
-            "n_bootstrap_requested": self.n_bootstrap_requested,
-            "n_bootstrap_used": self.n_bootstrap_used,
-            "bins": None if bins is None else [
-                {"bin": b.bin_index, "mean_size": b.mean_size,
-                 "sigma": b.sigma, "count": b.count}
-                for b in bins
-            ],
-        }
+        return {**asdict(self), "bins": None if bins is None else list(map(asdict, bins))}
 
 
 def bin_stats_csv(bins: list[BinStat]) -> str:
-    return table_csv(["bin", "mean_size", "sigma", "count"],
-                     [(b.bin_index, b.mean_size, b.sigma, b.count) for b in bins])
+    return table_csv([f.name for f in fields(BinStat)], map(astuple, bins))
 
 
 def binned_beta_xy(sizes, values, n_bins: int = 15) -> tuple[ScalingFit, list[BinStat]]:
@@ -138,7 +121,7 @@ def binned_beta_xy(sizes, values, n_bins: int = 15) -> tuple[ScalingFit, list[Bi
         sigma = float(np.std(values[chunk], ddof=1))
         if sigma <= 0.0:
             raise ValueError(f"bin {index} has zero dispersion; cannot take its log")
-        bins.append(BinStat(bin_index=index, mean_size=float(np.mean(sizes[chunk])),
+        bins.append(BinStat(bin=index, mean_size=float(np.mean(sizes[chunk])),
                             sigma=sigma, count=int(chunk.size)))
 
     x = np.array([b.mean_size for b in bins])
@@ -162,10 +145,10 @@ def binned_beta_xy(sizes, values, n_bins: int = 15) -> tuple[ScalingFit, list[Bi
     fit = ScalingFit(
         method="binned",
         beta=beta,
-        gamma_or_alpha=gamma,
+        alpha_or_gamma=gamma,
         se_beta=se_beta,
-        se_gamma_or_alpha=se_gamma,
-        n_obs=int(sizes.size),
+        se_alpha_or_gamma=se_gamma,
+        n=int(sizes.size),
         significant_5pct=bool(p_value < 0.05),
     )
     return fit, bins
@@ -286,10 +269,10 @@ def fit_alad(panel: GrowthPanel, *, bootstrap: int = 200, seed=0) -> ScalingFit:
     return ScalingFit(
         method="alad",
         beta=float(beta),
-        gamma_or_alpha=float(alpha),
+        alpha_or_gamma=float(alpha),
         se_beta=se_beta,
-        se_gamma_or_alpha=se_alpha,
-        n_obs=int(n),
+        se_alpha_or_gamma=se_alpha,
+        n=int(n),
         significant_5pct=significant,
         phi1=float(phi1),
         se_phi1=se_phi1,

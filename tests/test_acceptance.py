@@ -197,7 +197,7 @@ def test_criterion_3_distribution_tables(toy_panel):
     # the autoregression must recover the known generating shock.
     alad = fit_alad(toy_panel, bootstrap=0)
     r_t, r_lag, s_lag, _, _ = toy_panel.ar1_pairs()
-    innovations = (r_t - alad.gamma_or_alpha - alad.phi1 * r_lag) / np.exp(
+    innovations = (r_t - alad.alpha_or_gamma - alad.phi1 * r_lag) / np.exp(
         alad.beta * s_lag)
     fit = fit_aep(innovations, seed=0)
     se = fit.std_errors

@@ -10,10 +10,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthvol import aep_fit
 from growthvol.aep import AepParams, sample
-from growthvol.aep_fit import AepFit, _information_se, fit_aep, fit_special
+from growthvol.aep_fit import AepFit, _information_se, _negll, fit_aep, fit_special
 from growthvol.panel import development_split, stratify
 
 # A right-skewed, heavy-left-tail configuration used across recovery tests.
@@ -141,6 +143,38 @@ def test_mirror_equivariance(base_sample, base_fit):
     assert mirrored.params.m == pytest.approx(-base_fit.params.m, abs=1e-6)
 
 
+def _equivariance_gap(base, moved, shift, factor, mirror):
+    """Largest parameter gap, in base units, between a fit and its moved fit.
+
+    The moved sample is shift + factor * x, negated after when ``mirror``.
+    """
+    p, q = base.params, moved.params
+    if mirror:
+        q = AepParams(b_l=q.b_r, b_r=q.b_l, a_l=q.a_r, a_r=q.a_l, m=-q.m)
+    return max(
+        abs(q.b_l - p.b_l), abs(q.b_r - p.b_r),
+        abs(q.a_l / factor - p.a_l), abs(q.a_r / factor - p.a_r),
+        abs((q.m - shift) / factor - p.m),
+    )
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(
+    b_l=st.floats(0.6, 2.0), b_r=st.floats(0.6, 2.0),
+    n=st.integers(150, 600), seed=st.integers(0, 2**32 - 1),
+    shift=st.floats(-50.0, 50.0), log10_factor=st.floats(-3.0, 3.0),
+    mirror=st.booleans(),
+)
+def test_fit_is_equivariant_under_shift_scale_and_mirroring(
+        b_l, b_r, n, seed, shift, log10_factor, mirror):
+    x = _draw(AepParams(b_l=b_l, b_r=b_r, a_l=0.045, a_r=0.05, m=0.01), n, seed)
+    factor = 10.0**log10_factor
+    moved = shift + factor * x
+    base = fit_aep(x, bootstrap_fallback=0)
+    fit = fit_aep(-moved if mirror else moved, bootstrap_fallback=0)
+    assert _equivariance_gap(base, fit, shift, factor, mirror) <= 1e-6
+
+
 def test_standard_errors_present_and_positive(base_sample):
     fit = fit_aep(base_sample, bootstrap_fallback=40, seed=1)
     assert fit.std_errors is not None
@@ -195,12 +229,11 @@ def test_json_dict_layout(base_sample):
     payload = fit.to_json_dict()
     assert set(payload) == {
         "b_l", "b_r", "a_l", "a_r", "m", "se", "loglik", "n", "converged",
-        "se_method", "n_restarts_used", "n_bootstrap_unconverged",
+        "se_method", "n_bootstrap_unconverged",
     }
     assert payload["n"] == 1000
     assert payload["converged"] is True
     assert payload["se_method"] == "closed_form"
-    assert payload["n_restarts_used"] == 0
     assert payload["n_bootstrap_unconverged"] == 0
     assert set(payload["se"]) == {"b_l", "b_r", "a_l", "a_r", "m"}
     assert payload["b_l"] == fit.params.b_l
@@ -209,7 +242,7 @@ def test_json_dict_layout(base_sample):
 def test_json_dict_without_errors():
     fit = AepFit(
         params=TRUTH, std_errors=None, loglik=-1.0, n=100,
-        converged=False, n_restarts_used=4, se_method=None,
+        converged=False, se_method=None,
     )
     assert fit.to_json_dict()["se"] is None
 
@@ -298,6 +331,38 @@ def test_likelihood_kernel_matches_reference_exactly(n):
         _negll(np.array(_overflow_theta(z)), z)
 
 
+def _standardized(n, seed):
+    x = _draw(TRUTH, n, seed=seed)
+    return np.sort((x - np.median(x)) / np.mean(np.abs(x - np.median(x))))
+
+
+@pytest.mark.parametrize("n", [60, 1500])
+def test_gradient_path_returns_the_value_path_value(n):
+    z = _standardized(n, 21)
+    thetas = _theta_grid(z, np.random.default_rng(n))
+    caps = np.array([aep_fit._LOG_SHAPE_CAP] * 2 + [aep_fit._LOG_SCALE_CAP] * 2)
+    inside = thetas[np.all(np.abs(thetas[:, :4]) <= caps, axis=1)
+                    & np.all(np.isfinite(thetas), axis=1)]
+    assert len(inside) > 100
+    with np.errstate(over="ignore"):
+        for theta in inside:
+            assert _negll(theta, z, gradient=True)[0] == _negll(theta, z), theta
+
+
+def test_gradient_matches_central_differences():
+    z = _standardized(1500, 21)
+    rng = np.random.default_rng(3)
+    step = 1e-6
+    for _ in range(20):
+        theta = np.append(rng.uniform(-1.0, 1.0, 4), rng.uniform(z[0], z[-1]))
+        _, grad = _negll(theta, z, gradient=True)
+        for i in range(4):
+            e = np.zeros(5)
+            e[i] = step
+            numeric = (_negll(theta + e, z) - _negll(theta - e, z)) / (2.0 * step)
+            assert grad[i] == pytest.approx(numeric, rel=1e-6)
+
+
 def test_fit_raises_no_runtime_warnings():
     # The kernel no longer silences its own overflow; fit_aep does, once, for
     # all of its stages.  An outlier-heavy sample (ten points about 6 to 20
@@ -313,6 +378,16 @@ def test_fit_raises_no_runtime_warnings():
         fit = fit_aep(x, bootstrap_fallback=10, seed=0)
     assert fit.converged
     assert fit.se_method == "hessian+bootstrap_m"
+
+
+def test_one_bootstrap_replicate_gives_no_error_and_no_warning():
+    # A spread needs two draws: ddof=1 over one replicate is NaN, and NaN is
+    # no JSON number.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_aep(_draw(TRUTH, 300, seed=8), bootstrap_fallback=1)
+    assert fit.se_method == "hessian+bootstrap_m"
+    assert fit.std_errors["m"] is None
 
 
 def test_capped_scales_warn_nothing_and_report_no_error():

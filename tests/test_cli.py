@@ -143,7 +143,7 @@ def test_fit_artifacts_and_recovery(isolated_cwd):
     doc = _load_json("fitted/fit_all.json")
     assert set(doc) == {"config", "b_l", "b_r", "a_l", "a_r", "m",
                         "se", "loglik", "n", "converged", "se_method",
-                        "n_restarts_used", "n_bootstrap_unconverged"}
+                        "n_bootstrap_unconverged"}
     assert doc["converged"] is True
     assert doc["n"] == 25 * 20
     se = doc["se"]
@@ -184,7 +184,7 @@ def test_scale_schemas_and_both_methods(isolated_cwd):
     assert set(alad) == {"config", "method", "beta", "se_beta",
                          "alpha_or_gamma", "se_alpha_or_gamma", "phi1", "se_phi1",
                          "n", "significant_5pct", "n_bootstrap_requested",
-                         "n_bootstrap_used", "bins"}
+                         "n_bootstrap_used", "trace", "bins"}
     assert alad["method"] == "alad"
     assert alad["bins"] is None
     assert alad["beta"] < 0.0 and alad["significant_5pct"] is True
@@ -412,12 +412,23 @@ def test_negative_bootstrap_is_a_usage_error(isolated_cwd, command):
     ["roll", "--window", "1"],
     ["roll", "--step", "0"],
     ["scale", "--bootstrap", "-1"],
-], ids=["bins_2", "window_1", "step_0", "bootstrap_-1"])
+    ["fit", "--seed", "-1"],
+    ["scale", "--seed", "-1"],
+    ["roll", "--seed", "-1"],
+], ids=["bins_2", "window_1", "step_0", "bootstrap_-1", "fit_seed_-1", "scale_seed_-1",
+        "roll_seed_-1"])
 def test_out_of_range_count_is_a_usage_error(isolated_cwd, argv):
     # Rejected while parsing, before the panel loads: no stratum runs and
     # nothing, errors.json included, is written.
     with pytest.raises(SystemExit) as exit_info:
         main([*argv, "--data", TOY, "--out", "out"])
+    assert exit_info.value.code == 2
+    assert not Path("out").exists()
+
+
+def test_negative_synth_seed_is_a_usage_error(isolated_cwd):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["synth", "--seed", "-1", "--out", "out"])
     assert exit_info.value.code == 2
     assert not Path("out").exists()
 

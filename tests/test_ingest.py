@@ -532,7 +532,7 @@ def _curve_csv_reference(values, params, n_points=301):
 def _bin_stats_csv_reference(bins):
     lines = ["bin,mean_size,sigma,count"]
     for b in bins:
-        lines.append(f"{b.bin_index},{b.mean_size:.17g},{b.sigma:.17g},{b.count}")
+        lines.append(f"{b.bin},{b.mean_size:.17g},{b.sigma:.17g},{b.count}")
     return "\n".join(lines) + "\n"
 
 
@@ -550,8 +550,8 @@ def _rolling_csv_reference(series):
             significant = "" if f.significant_5pct is None else str(f.significant_5pct).lower()
             lines.append(
                 f"{e.start_year},{e.end_year},{fmt(f.beta)},{fmt(f.se_beta)},"
-                f"{fmt(f.phi1)},{fmt(f.se_phi1)},{fmt(f.gamma_or_alpha)},"
-                f"{f.n_obs},{significant}"
+                f"{fmt(f.phi1)},{fmt(f.se_phi1)},{fmt(f.alpha_or_gamma)},"
+                f"{f.n},{significant}"
             )
     return "\n".join(lines) + "\n"
 
@@ -663,9 +663,9 @@ def test_rolling_csv_matches_reference(drawn):
     for start, end, n_pairs, fitted in drawn:
         fit = None
         if fitted is not None:
-            beta, se_beta, phi1, se_phi1, alpha, n_obs, significant = fitted
-            fit = ScalingFit(method="alad", beta=beta, gamma_or_alpha=alpha,
-                             se_beta=se_beta, se_gamma_or_alpha=None, n_obs=n_obs,
+            beta, se_beta, phi1, se_phi1, alpha, n, significant = fitted
+            fit = ScalingFit(method="alad", beta=beta, alpha_or_gamma=alpha,
+                             se_beta=se_beta, se_alpha_or_gamma=None, n=n,
                              significant_5pct=significant, phi1=phi1, se_phi1=se_phi1)
         entries.append(RollingEntry(start, end, n_pairs, fit))
     series = RollingSeries(window_length=10, step=1, entries=entries)

@@ -37,8 +37,8 @@ def series(panel):
 
 def _stub_fit(beta, se_beta):
     return ScalingFit(
-        method="alad", beta=beta, gamma_or_alpha=0.02, se_beta=se_beta,
-        se_gamma_or_alpha=0.01, n_obs=108, phi1=0.3, se_phi1=0.05,
+        method="alad", beta=beta, alpha_or_gamma=0.02, se_beta=se_beta,
+        se_alpha_or_gamma=0.01, n=108, phi1=0.3, se_phi1=0.05,
         significant_5pct=None if se_beta is None else abs(beta) / se_beta > 1.96,
     )
 
@@ -87,7 +87,7 @@ def test_window_fit_reproducible_in_isolation(panel, series):
     assert standalone.beta == entry.fit.beta
     assert standalone.se_beta == entry.fit.se_beta
     assert standalone.phi1 == entry.fit.phi1
-    assert standalone.gamma_or_alpha == entry.fit.gamma_or_alpha
+    assert standalone.alpha_or_gamma == entry.fit.alpha_or_gamma
 
 
 def test_roll_is_deterministic(panel, series):
@@ -200,9 +200,9 @@ def test_segments_equal_the_state_machine(windows):
     for k, flag in enumerate(windows):
         fit = None
         if flag != "gap":
-            fit = ScalingFit(method="alad", beta=-0.1, gamma_or_alpha=0.0,
+            fit = ScalingFit(method="alad", beta=-0.1, alpha_or_gamma=0.0,
                              se_beta=None if flag is None else 0.05,
-                             se_gamma_or_alpha=None, n_obs=108, significant_5pct=flag)
+                             se_alpha_or_gamma=None, n=108, significant_5pct=flag)
         entries.append(RollingEntry(1950 + k, 1959 + k, 108, fit))
     series = _series(entries)
     assert significance_segments(series) == _segments_reference(series)

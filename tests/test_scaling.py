@@ -42,7 +42,7 @@ def test_binned_recovers_generator_beta(hetero_panel):
     assert fit.method == "binned"
     assert fit.beta == pytest.approx(-0.3, abs=2 * fit.se_beta)
     assert fit.significant_5pct
-    assert fit.n_obs == 31 * 50
+    assert fit.n == 31 * 50
     assert len(bins) == 15
 
 
@@ -111,11 +111,11 @@ def test_alad_recovers_generator_params():
     panel = generate(SynthSpec(alpha=0.02, phi1=0.3, beta=-0.2, seed=7))
     fit = fit_alad(panel, bootstrap=100, seed=1)
     assert fit.method == "alad"
-    assert fit.gamma_or_alpha == pytest.approx(0.02, abs=3 * fit.se_gamma_or_alpha)
+    assert fit.alpha_or_gamma == pytest.approx(0.02, abs=3 * fit.se_alpha_or_gamma)
     assert fit.phi1 == pytest.approx(0.3, abs=3 * fit.se_phi1)
     assert fit.beta == pytest.approx(-0.2, abs=3 * fit.se_beta)
     assert fit.significant_5pct
-    assert fit.n_obs == 31 * 49  # one lag year consumed per country
+    assert fit.n == 31 * 49  # one lag year consumed per country
 
 
 def test_alad_trace_monotone(hetero_panel):
@@ -127,7 +127,7 @@ def test_alad_trace_monotone(hetero_panel):
 def _one_more_round(r_t, r_lag, s_lag, fit):
     """The loss after one more location-then-beta round from a returned fit."""
     alpha, phi1 = _exact_location(r_t, r_lag, np.exp(-fit.beta * s_lag),
-                                  (fit.gamma_or_alpha, fit.phi1))
+                                  (fit.alpha_or_gamma, fit.phi1))
     residuals = np.abs(r_t - alpha - phi1 * r_lag)
     beta = minimize_scalar(lambda b: float(np.sum(b * s_lag + residuals * np.exp(-b * s_lag))),
                            bounds=_BETA_BOUNDS, method="bounded",
@@ -150,7 +150,7 @@ def test_alad_stops_at_a_fixed_point(toy_panel):
     for window in windows:
         fit = fit_alad(window, bootstrap=0)
         r_t, r_lag, s_lag = window.ar1_pairs()[:3]
-        assert fit.trace[-1] == _alad_loss(r_t, r_lag, s_lag, fit.gamma_or_alpha,
+        assert fit.trace[-1] == _alad_loss(r_t, r_lag, s_lag, fit.alpha_or_gamma,
                                            fit.phi1, fit.beta)
         assert not _one_more_round(r_t, r_lag, s_lag, fit) < fit.trace[-1]
 
@@ -162,10 +162,10 @@ def test_alad_alpha_first_order_optimality(hetero_panel):
     def loss(alpha):
         return _alad_loss(*pairs, alpha, fit.phi1, fit.beta)
 
-    at_optimum = loss(fit.gamma_or_alpha)
+    at_optimum = loss(fit.alpha_or_gamma)
     for delta in (1e-6, 1e-5, 1e-4):
         for sign in (-1.0, 1.0):
-            perturbed = loss(fit.gamma_or_alpha + sign * delta)
+            perturbed = loss(fit.alpha_or_gamma + sign * delta)
             assert perturbed >= at_optimum - 1e-12
 
 
@@ -188,9 +188,10 @@ def test_json_layout(hetero_panel):
     d = fit.to_json_dict(bins)
     assert set(d) == {"method", "beta", "se_beta", "alpha_or_gamma",
                       "se_alpha_or_gamma", "phi1", "se_phi1", "n", "significant_5pct",
-                      "n_bootstrap_requested", "n_bootstrap_used", "bins"}
+                      "n_bootstrap_requested", "n_bootstrap_used", "trace", "bins"}
     assert d["phi1"] is None and d["se_phi1"] is None
-    assert d["se_alpha_or_gamma"] == fit.se_gamma_or_alpha
+    assert d["trace"] == []
+    assert d["se_alpha_or_gamma"] == fit.se_alpha_or_gamma
     assert d["n_bootstrap_requested"] is None and d["n_bootstrap_used"] is None
     assert len(d["bins"]) == 15
     assert set(d["bins"][0]) == {"bin", "mean_size", "sigma", "count"}
@@ -199,6 +200,7 @@ def test_json_layout(hetero_panel):
     ad = afit.to_json_dict()
     assert ad["method"] == "alad"
     assert ad["bins"] is None
+    assert ad["trace"] == afit.trace
     assert ad["phi1"] == afit.phi1
     assert ad["se_phi1"] is None
     assert (ad["n_bootstrap_requested"], ad["n_bootstrap_used"]) == (0, 0)
@@ -242,7 +244,7 @@ def test_alad_two_countries_report_no_errors(seed):
     two = fit_alad(generate(SynthSpec(n_countries=2, n_years=40, beta=0.0, seed=seed)),
                    bootstrap=200)
     assert two.n_bootstrap_used >= 100
-    assert two.se_beta is two.se_phi1 is two.se_gamma_or_alpha is None
+    assert two.se_beta is two.se_phi1 is two.se_alpha_or_gamma is None
     assert two.significant_5pct is None
     three = fit_alad(generate(SynthSpec(n_countries=3, n_years=40, beta=0.0, seed=seed)),
                      bootstrap=200)
@@ -369,7 +371,7 @@ def test_alad_bootstrap_leaves_point_fit_untouched(hetero_panel):
     # the trace do not depend on whether errors are asked for.
     point = fit_alad(hetero_panel, bootstrap=0)
     with_errors = fit_alad(hetero_panel, bootstrap=20)
-    assert point.gamma_or_alpha == with_errors.gamma_or_alpha
+    assert point.alpha_or_gamma == with_errors.alpha_or_gamma
     assert point.phi1 == with_errors.phi1
     assert point.beta == with_errors.beta
     assert point.trace == with_errors.trace

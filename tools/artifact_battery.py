@@ -20,7 +20,7 @@ Two source trees produce the same artifacts when
     python3 tools/artifact_battery.py after/src /tmp/after
     diff -r /tmp/before /tmp/after
 
-prints nothing.  The 22 invocations and five inputs leave 116 files in OUT,
+prints nothing.  The 24 invocations and five inputs leave 121 files in OUT,
 which must not exist yet.  The battery takes about 20 s on two CPUs.
 """
 
@@ -96,6 +96,12 @@ BATTERY = [
                           "--split", "both", "--bins", "10"]),
     # Too few bins for a slope and its error: a usage error (exit 2).
     ("bins_too_few", ["scale", "--data", TOY, "--bins", "2"]),
+    # One replicate measures no spread: the bootstrapped error of m is null
+    # in the JSON and an empty cell in fit_table.csv, never NaN.
+    ("fit_one_replicate", ["fit", "--data", TOY, "--panel", "balanced",
+                           "--split", "developed", "--bootstrap", "1", "--seed", "13"]),
+    # A negative seed is a usage error (exit 2), with no output.
+    ("negative_seed", ["scale", "--data", TOY, "--seed", "-1"]),
 ]
 
 

@@ -17,14 +17,13 @@ optimizers are unreliable on such surfaces, so the fit proceeds in stages:
    solution plus shape-perturbed restarts, keeping the best optimum found
    (ties and comparisons resolved in a fixed order, so results do not depend
    on evaluation scheduling);
-4. polish the Nelder-Mead solution, which is only reliable to about 1e-6 in
-   the parameters, by coordinate rounds of a quasi-Newton step in the four
-   shape/scale coordinates (the likelihood is smooth in them at fixed mode,
-   and ``_negll`` returns its gradient there alongside the value) and a
-   bracketed one-dimensional refinement of the mode.  This pins the optimum
-   to near machine precision, so equal samples presented on different
-   scales return equal parameters to well below the 1e-6 the equivariance
-   contract requires.
+4. repeat rounds until one does not strictly lower the value, which ends
+   the loop since each kept round strictly lowers a float.  A round is a
+   fresh-simplex Nelder-Mead run (a simplex can collapse short of the
+   optimum), a quasi-Newton step in the four shape/scale coordinates, where
+   the likelihood is smooth at fixed mode, and a bracketed mode step.  Equal
+   samples on different scales then return equal parameters to well below
+   the 1e-6 the equivariance contract requires.
 
 Shapes and scales are optimized in log space, which enforces positivity and
 makes the surface better conditioned.
@@ -46,13 +45,13 @@ error of m is taken from a nonparametric bootstrap instead, which tracks the
 estimator's actual, faster-than-sqrt(n) convergence.
 
 Bootstrap replicates are single warm-started Nelder-Mead refits, without
-restarts or the polish, stopped at 1e-6 in the parameters and 1e-7 in the
-value.  A looser stop does not only shorten each refit: on a multimodal
+restarts or further rounds, stopped at 1e-6 in the parameters and 1e-7 in
+the value.  A looser stop does not only shorten each refit: on a multimodal
 resample it can end a replicate on a worse optimum.  Stopped at 1e-5 and
 1e-6, one replicate in 200 stalled 3 to 7 units of log-likelihood short on
 2 of 20 samples of n = 1000, which moved the SE of m there by -4.9% and
 +1.3%; a 1e-4 stop biased the SE of m down.  Point fits keep the 1e-8
-refine and the polish, so no point estimate depends on the bootstrap
+refine and its rounds, so no point estimate depends on the bootstrap
 settings.
 
 Every Nelder-Mead run goes through ``_nelder_mead``, which repeats scipy's
@@ -125,7 +124,7 @@ def _negll(theta, z_sorted, gradient=False):
     With ``gradient=True`` it returns (value, gradient), the gradient taken
     in the four log shape/scale coordinates at fixed mode, where the
     objective is infinitely differentiable; a rejected point gives (inf,
-    zeros).  This is what lets ``_polish`` take quasi-Newton steps.
+    zeros).  This is what lets ``_round`` take quasi-Newton steps.
 
     This is the optimizers' inner loop, called hundreds of thousands of times
     per bootstrapped fit, so its fixed cost is kept low: scalar checks use
@@ -283,7 +282,7 @@ def _profile_mode(z_sorted):
 
 
 def _refine(z_sorted, theta0):
-    """Joint Nelder-Mead from theta0 and shape-perturbed restarts."""
+    """Best joint Nelder-Mead optimum from theta0 and four shape-perturbed starts."""
     starts = [np.asarray(theta0, dtype=float)]
     for index, log_shape in ((0, np.log(0.7)), (0, np.log(1.5)),
                              (1, np.log(0.7)), (1, np.log(1.5))):
@@ -295,14 +294,6 @@ def _refine(z_sorted, theta0):
         value, x, success = _nelder_mead(_negll, start, (z_sorted,), **_REFINE_OPTIONS)
         if value < best_fun:
             best_fun, best_x, best_success = value, x, success
-    # A Nelder-Mead simplex can collapse short of the optimum; one re-polish
-    # from the incumbent with a fresh simplex recovers it.  ``_polish`` does
-    # not make this redundant: without the re-polish, 4 of 46 samples tried
-    # (criterion 2's n = 5000 seeds 5, 12 and 15, and one n = 1000 draw)
-    # ended 1.6e-4 to 0.024 lower in log-likelihood.
-    value, x, success = _nelder_mead(_negll, best_x, (z_sorted,), **_REFINE_OPTIONS)
-    if value < best_fun:
-        best_fun, best_x, best_success = value, x, success
     return best_fun, best_x, best_success
 
 
@@ -310,29 +301,27 @@ _SMOOTH_BOUNDS = [(-_LOG_SHAPE_CAP, _LOG_SHAPE_CAP)] * 2 + [
     (-_LOG_SCALE_CAP, _LOG_SCALE_CAP)
 ] * 2
 _MODE_BRACKET = 1e-4  # in standardized units; well within one data spacing
-_POLISH_ROUNDS = 4
 
 
-def _polish(z_sorted, theta_hat):
-    """Coordinate polish of a Nelder-Mead optimum to near machine precision."""
-    theta = np.asarray(theta_hat, dtype=float).copy()
-    value = _negll(theta, z_sorted)
-    for _ in range(_POLISH_ROUNDS):
-        res = minimize(
-            lambda t4, m: _negll((*t4, m), z_sorted, gradient=True), theta[:4],
-            args=(theta[4],), jac=True, method="L-BFGS-B", bounds=_SMOOTH_BOUNDS,
-            options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 200},
-        )
-        if np.isfinite(res.fun) and res.fun <= value:
-            theta[:4], value = res.x, float(res.fun)
-        scalar = minimize_scalar(
-            lambda m: _negll(np.append(theta[:4], m), z_sorted),
-            bounds=(theta[4] - _MODE_BRACKET, theta[4] + _MODE_BRACKET),
-            method="bounded", options={"xatol": 1e-13},
-        )
-        if np.isfinite(scalar.fun) and scalar.fun <= value:
-            theta[4], value = float(scalar.x), float(scalar.fun)
-    return value, theta
+def _round(z_sorted, theta):
+    """One point-fit round from theta (module docstring, stage 4): (value,
+    theta, the Nelder-Mead run's success flag)."""
+    value, theta, success = _nelder_mead(_negll, theta, (z_sorted,), **_REFINE_OPTIONS)
+    res = minimize(
+        lambda t4, m: _negll((*t4, m), z_sorted, gradient=True), theta[:4],
+        args=(theta[4],), jac=True, method="L-BFGS-B", bounds=_SMOOTH_BOUNDS,
+        options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 200},
+    )
+    if np.isfinite(res.fun) and res.fun <= value:
+        theta[:4], value = res.x, float(res.fun)
+    scalar = minimize_scalar(
+        lambda m: _negll(np.append(theta[:4], m), z_sorted),
+        bounds=(theta[4] - _MODE_BRACKET, theta[4] + _MODE_BRACKET),
+        method="bounded", options={"xatol": 1e-13},
+    )
+    if np.isfinite(scalar.fun) and scalar.fun <= value:
+        theta[4], value = float(scalar.x), float(scalar.fun)
+    return value, theta, success
 
 
 @np.errstate(invalid="ignore")
@@ -427,11 +416,13 @@ def fit_aep(
     Returns
     -------
     AepFit
-        ``std_errors`` is a dict keyed by parameter name, present only when
-        the optimizer converged and a standard error method succeeded.  A
-        bootstrapped shape or scale whose replicates all sit on its cap has
-        error None.  ``n_bootstrap_unconverged`` counts the bootstrap
-        replicates that stopped on their iteration or evaluation limit.
+        ``converged`` is the success flag of the Nelder-Mead run behind the
+        returned optimum.  ``std_errors`` is a dict keyed by parameter name,
+        present only when the fit converged and a standard error method
+        succeeded.  A bootstrapped shape or scale whose replicates all sit on
+        its cap has error None.  ``n_bootstrap_unconverged`` counts the
+        bootstrap replicates that stopped on their iteration or evaluation
+        limit.
     """
     x = np.asarray(sample, dtype=float).ravel()
     if x.size < 50:
@@ -454,7 +445,8 @@ def fit_aep(
     with np.errstate(over="ignore"):
         _, theta4, m0 = _profile_mode(z)
         fun, theta_hat, success = _refine(z, np.append(theta4, m0))
-        fun, theta_hat = _polish(z, theta_hat)
+        while (step := _round(z, theta_hat))[0] < fun:
+            fun, theta_hat, success = step
         converged = bool(success) and bool(np.isfinite(fun))
         params = _to_natural(theta_hat, loc, scale, mirrored)
 

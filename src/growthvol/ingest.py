@@ -8,10 +8,11 @@ Two on-disk layouts are accepted:
 * long CSV: header "country,year,gdppc", one observation per row.
 
 Lines before the header that start with '#' are comments; after it, every
-non-empty line is data.  Levels must be positive and finite, a wide row
-must have exactly as many cells as the header, and no (country, year) may
-be given twice; a file breaking a rule is rejected at the first offence,
-naming its file and row (and, for a bad or repeated level, its column).
+non-empty line is data.  Levels must be positive and finite, a row of
+either layout must have exactly as many cells as the header, and no
+(country, year) may be given twice; a file breaking a rule is rejected at
+the first offence, naming its file and row (and, for a bad or repeated
+level, its column).
 Both layouts are read in one pass into (country, year, gdppc) columns.
 
 Country names are normalized through a bundled alias table covering common
@@ -151,9 +152,11 @@ def validate_region_map(map_file) -> dict[str, str]:
 
     Region labels must belong to the six-value taxonomy; anything else is an
     error naming the label and its line.  Country names are normalized
-    through the alias table.
+    through the alias table, and a country named twice, also as an alias
+    and its canonical name, is an error naming both rows.
     """
     mapping: dict[str, str] = {}
+    first_row: dict[str, int] = {}
     rows = _data_rows(map_file)
     try:
         line_no, header = next(rows)
@@ -174,7 +177,10 @@ def validate_region_map(map_file) -> dict[str, str]:
                 f"expected one of {', '.join(REGIONS)}",
                 path=map_file, row=line_no,
             )
-        mapping[country] = region
+        if country in mapping:
+            raise IngestError(f"duplicate country {country!r}, first given in row "
+                              f"{first_row[country]}", path=map_file, row=line_no)
+        mapping[country], first_row[country] = region, line_no
     return mapping
 
 
@@ -211,8 +217,8 @@ def read_observations(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         header_line, header = next(rows)
     except StopIteration:
         raise IngestError("data file is empty", path=path) from None
-    # Each layout's cells(line_no, row) gives the row's year cell and its
-    # (country, column named in errors, level cell) triples.
+    # Each layout's cells(row) gives the row's year cell and its (country,
+    # column named in errors, level cell) triples.
     first = header[0].strip().lower()
     if first == "year":
         names = [canonical_name(cell) for cell in header[1:]]
@@ -225,10 +231,7 @@ def read_observations(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                                   f"in column {first_column!r}", path=path,
                                   row=header_line, column=header[i + 1].strip())
 
-        def cells(line_no, row):
-            if len(row) != len(header):
-                raise IngestError(f"row has {len(row)} cells, header has {len(header)}",
-                                  path=path, row=line_no)
+        def cells(row):
             # An empty cell is a missing observation.
             return row[0], [(name, name, cell) for name, cell in zip(names, row[1:])
                             if cell.strip()]
@@ -238,9 +241,7 @@ def read_observations(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 "long header must be 'country,year,gdppc'", path=path, row=header_line
             )
 
-        def cells(line_no, row):
-            if len(row) < 3:
-                raise IngestError("short row", path=path, row=line_no)
+        def cells(row):
             return row[1], [(canonical_name(row[0]), "gdppc", row[2])]
     else:
         raise IngestError("unrecognized header: expected a wide table starting with "
@@ -250,7 +251,10 @@ def read_observations(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     first_row = {}  # (country, year) -> the row that gave it
     gdppc = []
     for line_no, row in rows:
-        year_cell, level_cells = cells(line_no, row)
+        if len(row) != len(header):
+            raise IngestError(f"row has {len(row)} cells, header has {len(header)}",
+                              path=path, row=line_no)
+        year_cell, level_cells = cells(row)
         try:
             year = int(year_cell)
         except ValueError:

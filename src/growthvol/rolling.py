@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 
+import numpy as np
+
 from growthvol.ingest import table_csv
 from growthvol.panel import GrowthPanel, stratify
 from growthvol.scaling import ScalingFit, _seed_entropy, fit_alad
@@ -80,14 +82,17 @@ def roll(
         )
     starts = list(range(first, last - window_length + 2, step))
     entropy = _seed_entropy(seed)
+    # A window's pairs are the panel's pairs whose both years it covers; a
+    # window with no rows at all is a gap like any other.
+    pair_years = panel.ar1_pairs()[4]
     entries = []
     for start in starts:
         end = start + window_length - 1
-        sub = stratify(panel, year_range=(start, end))
-        n_pairs = int(sub.ar1_pairs()[0].size)
+        n_pairs = int(np.count_nonzero((pair_years > start) & (pair_years <= end)))
         fit = None
         if n_pairs >= _MIN_PAIRS:
-            fit = fit_alad(sub, bootstrap=bootstrap, seed=entropy + [start])
+            fit = fit_alad(stratify(panel, year_range=(start, end)),
+                           bootstrap=bootstrap, seed=entropy + [start])
         entries.append(RollingEntry(start, end, n_pairs, fit))
     return RollingSeries(window_length=window_length, step=step, entries=entries)
 

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -455,7 +456,7 @@ def toy_bootstrap_fits(toy_strata):
 
 def test_mode_bootstrap_leaves_point_fit_untouched(toy_strata, toy_bootstrap_fits):
     # Replicates stop at a looser tolerance than the point fit and skip its
-    # restarts and polish; the point fit, its likelihood and its curvature
+    # restarts and rounds; the point fit, its likelihood and its curvature
     # errors must not depend on whether the mode's error is bootstrapped.
     point = fit_aep(toy_strata["developed"], bootstrap_fallback=0)
     booted = toy_bootstrap_fits["developed"]
@@ -467,6 +468,52 @@ def test_mode_bootstrap_leaves_point_fit_untouched(toy_strata, toy_bootstrap_fit
     for name in ("b_l", "b_r", "a_l", "a_r"):
         assert point.std_errors[name] == booted.std_errors[name], name
     assert booted.std_errors["m"] != point.std_errors["m"]
+
+
+# ------------------------------------------------------------- stopping rule
+
+
+def _one_more_round(z_sorted, theta):
+    """The value after one more point-fit round from theta: a fresh-simplex
+    Nelder-Mead, a quasi-Newton step in the four shape/scale coordinates and
+    a bracketed mode step."""
+    value, theta, _ = aep_fit._nelder_mead(_negll, theta, (z_sorted,),
+                                           **aep_fit._REFINE_OPTIONS)
+    smooth = scipy.optimize.minimize(
+        lambda t4: _negll((*t4, theta[4]), z_sorted, gradient=True), theta[:4],
+        jac=True, method="L-BFGS-B", bounds=aep_fit._SMOOTH_BOUNDS,
+        options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 200})
+    t4 = smooth.x if smooth.fun <= value else theta[:4]
+    mode = scipy.optimize.minimize_scalar(
+        lambda m: _negll((*t4, m), z_sorted),
+        bounds=(theta[4] - aep_fit._MODE_BRACKET, theta[4] + aep_fit._MODE_BRACKET),
+        method="bounded", options={"xatol": 1e-13})
+    return min(value, smooth.fun, mode.fun)
+
+
+_FIXED_POINT_SAMPLES = {
+    **{f"n1000_seed{seed}": (TRUTH, 1000, seed) for seed in (5, 9, 106)},
+    "n5000_seed5": (TRUTH, 5000, 5),
+    "gaussian_seed2": (AepParams.gaussian(1.0, 0.0), 1500, 2),
+}
+
+
+@pytest.mark.parametrize("name", ["developed", "developing", *_FIXED_POINT_SAMPLES])
+def test_point_fit_stops_at_a_fixed_point(toy_strata, monkeypatch, name):
+    # The point fit repeats its round until one lowers nothing, so one more
+    # round from the returned optimum lowers nothing either.  The seed 9
+    # draw takes 6 rounds and the Gaussian one 3; a fixed count of rounds
+    # stops 2.9e-2 and 6.9e-5 short on them.
+    x = toy_strata[name] if name in toy_strata else _draw(*_FIXED_POINT_SAMPLES[name])
+    optima = []  # fit_aep hands its standardized sample and optimum to _information_se
+    information_se = aep_fit._information_se
+    monkeypatch.setattr(aep_fit, "_information_se", lambda z, theta: (
+        optima.append((z, theta)) or information_se(z, theta)))
+    fit = fit_aep(x, bootstrap_fallback=0)
+    assert fit.converged and len(optima) == 1
+    z, theta = optima[0]
+    with np.errstate(over="ignore"):
+        assert not _one_more_round(z, theta) < _negll(theta, z)
 
 
 # se.m as fitted with scipy's Nelder-Mead for every replicate, each stopped

@@ -218,6 +218,22 @@ def test_unknown_region_label_rejected(tmp_path):
     assert err.value.row == 2
 
 
+@pytest.mark.parametrize("first, second", [("France", "France"),
+                                           ("USA", "United States")])
+def test_region_map_naming_a_country_twice_is_located(tmp_path, first, second):
+    # An alias names its canonical country: a second row for it would
+    # silently replace the first row's region.
+    path = tmp_path / "regions.csv"
+    path.write_text(f"country,region\n{first},EuropeNorthAmerica\nJapan,"
+                    f"EastSouthAsiaPacific\n{second},LatinAmericaCaribbean\n",
+                    encoding="utf-8")
+    name = canonical_name(second)
+    with pytest.raises(IngestError, match=f"duplicate country '{name}', first given "
+                                          r"in row 2 \(.*regions\.csv, row 4\)") as err:
+        validate_region_map(path)
+    assert (err.value.path, err.value.row) == (path, 4)
+
+
 def test_aliases_normalize():
     assert canonical_name("Korea, Rep.") == "Republic of Korea"
     assert canonical_name("Viet Nam") == "Vietnam"
@@ -460,6 +476,18 @@ def test_ragged_wide_row_is_rejected(tmp_path, row):
     with pytest.raises(IngestError, match="cells, header has 3") as err:
         read_observations(path)
     assert err.value.row == 3
+
+
+@pytest.mark.parametrize("row, n_cells", [("France,1951,5,452", 4), ("France,1951", 2)])
+def test_ragged_long_row_is_rejected(tmp_path, row, n_cells):
+    # An unquoted thousands separator splits a level in two; reading the
+    # first part as the level would be silently wrong.
+    path = tmp_path / "ragged.csv"
+    path.write_text(f"country,year,gdppc\nFrance,1950,5186\n{row}\n", encoding="utf-8")
+    with pytest.raises(IngestError, match=f"row has {n_cells} cells, header has 3 "
+                                          r"\(.*ragged\.csv, row 3\)") as err:
+        read_observations(path)
+    assert (err.value.path, err.value.row) == (path, 3)
 
 
 def test_trailing_empty_cells_are_missing_not_ragged(tmp_path):

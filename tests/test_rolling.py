@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthvol.panel import stratify
+from growthvol.panel import build_growth_panel, stratify
 from growthvol.rolling import (
     RollingEntry,
     RollingSeries,
@@ -103,6 +103,21 @@ def test_sparse_windows_become_gaps(sparse_panel):
     for entry in gappy.entries:
         assert entry.fit is None
         assert entry.n_pairs == 2 * 9
+
+
+def test_window_without_rows_is_a_gap(panel):
+    # No country observed in 1955-1959, as in a wartime hole: that window
+    # selects no rows at all, and it is a gap with no pairs, not an error
+    # for the whole series.  Growth resumes in 1960, so the next window
+    # holds 1962-1964's pairs.
+    keep = (panel.year < 1955) | (panel.year > 1959)
+    holed = build_growth_panel((panel.country[keep], panel.year[keep],
+                                panel.gdppc[keep]), panel.meta)
+    windows = roll(holed, window_length=5, step=5, bootstrap=0).entries
+    assert [(e.start_year, e.end_year, e.n_pairs) for e in windows] == [
+        (1950, 1954, 12 * 4), (1955, 1959, 0), (1960, 1964, 12 * 3),
+        (1965, 1969, 12 * 4)]
+    assert [e.fit is None for e in windows] == [False, True, False, False]
 
 
 def test_pair_floor_is_24():

@@ -10,8 +10,10 @@ checkout).  Each invocation runs as ``python -m growthvol.cli`` with
 first written into OUT, so that every path the artifacts record is the same
 whichever SRC ran: the bundled toy panel, its levels in the wide layout,
 the toy panel with one row given twice, the toy panel with a row for a
-country named ``#Atlantis``, which no region map knows, and the toy panel
-behind a UTF-8 byte-order mark.  The exit code of each invocation goes to
+country named ``#Atlantis``, which no region map knows, the toy panel
+behind a UTF-8 byte-order mark, the toy panel without its 1930-1944 rows,
+and the toy panel with one level split into two cells, as an unquoted
+thousands separator splits it.  The exit code of each invocation goes to
 ``OUT/exit_codes.json``.
 
 Two source trees produce the same artifacts when
@@ -20,7 +22,7 @@ Two source trees produce the same artifacts when
     python3 tools/artifact_battery.py after/src /tmp/after
     diff -r /tmp/before /tmp/after
 
-prints nothing.  The 24 invocations and five inputs leave 121 files in OUT,
+prints nothing.  The 26 invocations and seven inputs leave 130 files in OUT,
 which must not exist yet.  The battery takes about 20 s on two CPUs.
 """
 
@@ -39,6 +41,8 @@ TOY_WIDE = "toy_panel_31_wide.csv"
 TOY_DUPLICATE = "toy_panel_31_duplicate.csv"
 TOY_HASH_ROW = "toy_panel_31_hash_row.csv"
 TOY_BOM = "toy_panel_31_bom.csv"
+TOY_HOLE = "toy_panel_31_hole.csv"
+TOY_EXTRA_CELL = "toy_panel_31_extra_cell.csv"
 SYNTH = ["--region-map", "synth_a/synth_region_map.csv", "--years", "1949:1969"]
 # (output directory, subcommand and its arguments; --out is added).  Order
 # matters: the synthetic-panel runs read what synth_a writes.
@@ -102,11 +106,17 @@ BATTERY = [
                            "--split", "developed", "--bootstrap", "1", "--seed", "13"]),
     # A negative seed is a usage error (exit 2), with no output.
     ("negative_seed", ["scale", "--data", TOY, "--seed", "-1"]),
+    # No country is observed in 1930-1944: the windows inside the hole are
+    # gap rows with no pairs.
+    ("roll_hole", ["roll", "--data", TOY_HOLE, "--window", "5", "--step", "5",
+                   "--bootstrap", "5", "--seed", "14"]),
+    # A row with a cell more than the header: an error naming file and row.
+    ("long_extra_cell", ["fit", "--data", TOY_EXTRA_CELL, "--bootstrap", "0"]),
 ]
 
 
 def write_inputs(toy: Path, out: Path) -> None:
-    """Copy the toy panel into OUT and write its wide, duplicate-row, '#'-row and BOM variants."""
+    """Copy the toy panel into OUT and write its variants (module docstring)."""
     shutil.copyfile(toy, out / TOY)
     (out / TOY_BOM).write_bytes(b"\xef\xbb\xbf" + toy.read_bytes())
     with open(toy, newline="", encoding="utf-8") as handle:
@@ -126,6 +136,13 @@ def write_inputs(toy: Path, out: Path) -> None:
     with open(out / TOY_HASH_ROW, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle, lineterminator="\n").writerows(
             [header, *body[:50], ["#Atlantis", "1950", "100"], *body[50:]])
+    with open(out / TOY_HOLE, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(
+            [header, *(row for row in body if not 1930 <= int(row[1]) <= 1944)])
+    country, year, value = body[50]
+    with open(out / TOY_EXTRA_CELL, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(
+            [header, *body[:50], [country, year, value[:1], value[1:]], *body[51:]])
 
 
 def run_battery(src: Path, out: Path) -> dict[str, int]:
